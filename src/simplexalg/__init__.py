@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     ExactAlgebraError,
     InvalidParameter,
+    InvariantViolation,
     SingularSystem,
 )
 from .jacobi import BasisSet, a_param, jacobi1d, jacobi_simplex, graded_indices, level_indices
@@ -55,7 +56,6 @@ from .verify import (
     eigenvalue,
     generator_rank,
     irreducibility_check,
-    matrix_of,
     orbit_closure_dimensions,
     run_suites,
     submodule_diagnostic,

@@ -67,6 +67,15 @@ def parse_int_list(text: str) -> list:
         raise UsageError(f"cannot parse integer list {text!r}") from None
 
 
+def parse_dimensions(text: "str | None", default: tuple) -> tuple:
+    """--d values for verify and sweep; the suites need d >= 2."""
+    d_values = tuple(parse_int_list(text)) if text else default
+    small = [d for d in d_values if d < 2]
+    if small:
+        raise UsageError(f"d = {small[0]} is not supported; verify and sweep need d >= 2")
+    return d_values
+
+
 def build_operator(name: str, d: int, n: int, gamma: ParamVector):
     """Resolve an operator name to a DiffOp or RacahOp."""
     if name == "Ltot":
@@ -247,7 +256,7 @@ def _exit_code(reports, mode: str) -> int:
 def cmd_verify(args) -> int:
     gamma = parse_gamma(args.gamma)
     config = RunConfig(
-        d_values=tuple(parse_int_list(args.d)) if args.d else (gamma.d,),
+        d_values=parse_dimensions(args.d, (gamma.d,)),
         n_values=tuple(parse_int_list(args.n)) if args.n else (1, 2, 3, 4),
         suites=_suite_list(args.suite),
         mode=args.mode,
@@ -281,7 +290,7 @@ def sample_gamma(rng: random.Random, d: int, numerator_bound: int = 6, den_bound
 
 def cmd_sweep(args) -> int:
     config = RunConfig(
-        d_values=tuple(parse_int_list(args.d)) if args.d else (2, 3),
+        d_values=parse_dimensions(args.d, (2, 3)),
         n_values=tuple(parse_int_list(args.n)) if args.n else (2,),
         suites=_suite_list(args.suite),
         mode=args.mode,

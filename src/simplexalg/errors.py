@@ -32,3 +32,8 @@ class SingularSystem(ExactAlgebraError):
         self.rank = rank
         self.rows = rows
         self.cols = cols
+
+
+class InvariantViolation(ExactAlgebraError):
+    """A result that holds by construction came out wrong: a defect in this
+    package, never a property of the input."""

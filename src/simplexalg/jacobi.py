@@ -59,7 +59,8 @@ def jacobi1d(n: int, alpha, beta) -> MultiPoly:
         if k < n:
             u_power = u_power * u
     result = result.scale(lead)
-    assert result.total_degree() == n, "degree drop: admissibility conditions violated"
+    if result.total_degree() != n:
+        raise InvalidParameter("degree drop: admissibility conditions violated")
     return result
 
 
@@ -181,15 +182,8 @@ class BasisSet:
 
     def coefficient_matrix(self) -> ExactMatrix:
         """Monomial-coordinate matrix (rows = monomials of degree <= n, cols = P_nu)."""
-        monomials = monomials_upto(self.n, self.d)
-        index = {m: i for i, m in enumerate(monomials)}
-        columns = []
-        for _, poly in self.elements:
-            col = [Rat(0)] * len(monomials)
-            for exponent, coefficient in poly.terms.items():
-                col[index[exponent]] = coefficient
-            columns.append(col)
-        return ExactMatrix.from_columns(columns)
+        index = {m: i for i, m in enumerate(monomials_upto(self.n, self.d))}
+        return ExactMatrix.from_columns([poly.coordinates(index) for _, poly in self.elements])
 
     def to_json(self) -> dict:
         return {

@@ -200,11 +200,7 @@ class ExactMatrix:
 def exact_solve(matrix: ExactMatrix, rhs: Iterable) -> list:
     """Solve matrix @ x = rhs for a single right-hand-side vector."""
     column = ExactMatrix([[v] for v in rhs])
-    return exact_solve_matrix(matrix, column).column(0)
-
-
-def exact_solve_matrix(matrix: ExactMatrix, rhs: ExactMatrix) -> ExactMatrix:
-    return matrix.solve(rhs)
+    return matrix.solve(column).column(0)
 
 
 class SpanBasis:

@@ -51,5 +51,5 @@ def inner_product(p: MultiPoly, q: MultiPoly, gamma) -> Rat:
 
 
 def gram_diagonal(polys, gamma) -> list:
-    """[<p, p>] for each p; used for the symmetrized self-adjointness check."""
+    """[<p, p>] for each p: the diagonal Gram matrix of an orthogonal family."""
     return [inner_product(p, p, gamma) for p in polys]

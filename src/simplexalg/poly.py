@@ -101,6 +101,13 @@ class MultiPoly:
     def coefficient(self, exponent) -> Rat:
         return self.terms.get(tuple(exponent), Rat(0))
 
+    def coordinates(self, index: Mapping) -> list:
+        """Coefficient vector in the monomial order ``index`` (exponent -> position)."""
+        column = [Rat(0)] * len(index)
+        for exponent, coefficient in self.terms.items():
+            column[index[exponent]] = coefficient
+        return column
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented

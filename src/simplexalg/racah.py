@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
-from .errors import DegenerateParameter, DimensionMismatch
+from .errors import DegenerateParameter, DimensionMismatch, InvariantViolation
 from .jacobi import level_indices
 from .linalg import ExactMatrix
 from .params import require_valid
@@ -101,9 +101,6 @@ class ZFraction:
     def from_const(cls, nvars: int, value) -> "ZFraction":
         return cls(nvars, MultiPoly.const(nvars, value))
 
-    def copy(self) -> "ZFraction":
-        return ZFraction(self.nvars, self.num, dict(self.den))
-
     def mul_poly(self, poly: MultiPoly) -> "ZFraction":
         return ZFraction(self.nvars, self.num * poly, dict(self.den))
 
@@ -116,12 +113,6 @@ class ZFraction:
         key = (var, as_rat(root))
         den[key] = den.get(key, 0) + 1
         return ZFraction(self.nvars, self.num, den)
-
-    def mul_frac(self, other: "ZFraction") -> "ZFraction":
-        den = dict(self.den)
-        for key, mult in other.den.items():
-            den[key] = den.get(key, 0) + mult
-        return ZFraction(self.nvars, self.num * other.num, den)
 
     def den_poly(self) -> MultiPoly:
         out = MultiPoly.const(self.nvars, 1)
@@ -168,7 +159,10 @@ class ZFraction:
                 if not num.subs_value(var - 1, root).is_zero():
                     break
                 quotient, remainder = divide_linear(num, var - 1, root)
-                assert remainder.is_zero()
+                if not remainder.is_zero():
+                    raise InvariantViolation(
+                        f"synthetic division by (z_{var} - {rat_str(root)}) left a remainder"
+                    )
                 num = quotient
                 den[key] -= 1
             if den.get(key, 0) == 0:
@@ -360,20 +354,6 @@ class ZShiftOp:
             self.terms.get(s, zero).equals(other.terms.get(s, zero)) for s in shifts
         )
 
-    def coefficient_at(self, sigma, zvals) -> Rat:
-        frac = self.terms.get(tuple(sigma))
-        if frac is None:
-            return Rat(0)
-        return frac.evaluate(zvals)
-
-    def apply_to_grid_delta(self, source, point) -> Rat:
-        """Matrix element <delta_point | self | delta_source> on the z lattice."""
-        sigma = tuple(s - p for s, p in zip(source, point))
-        if any(abs(s) > 1 for s in sigma):
-            return Rat(0)
-        zvals = list(point) + [Rat(0)] * (self.nvars - len(point))
-        return self.coefficient_at(sigma, zvals)
-
 
 def racah_operator(j: int, beta, boundary=None) -> ZShiftOp:
     """The I-invariant operator B_j(z;beta); beta supplies beta_0..beta_{j+1}.
@@ -408,19 +388,7 @@ def _build_racah_operator(j: int, beta, boundary) -> ZShiftOp:
     if len(beta) < j + 2:
         raise ValueError(f"need beta_0..beta_{j + 1}")
     nvars = j + 1
-    terms = {}
-    for base in product((0, 1), repeat=j):
-        padded = (0,) + base + (0,)
-        num = MultiPoly.const(nvars, 1)
-        for k in range(j + 1):
-            num = num * kernel_poly(k, padded[k], padded[k + 1], beta, nvars)
-        frac = ZFraction(nvars, num)
-        for k in range(1, j + 1):
-            const, factors = _b_denominator(k, base[k - 1], beta)
-            frac = frac.mul_scalar(1 / const)
-            for var, root in factors:
-                frac = frac.div_linear(var, root)
-        terms[base] = frac.reduce()
+    terms = {base: racah_coefficient(j, base, beta) for base in product((0, 1), repeat=j)}
     # patterns with -1 entries: one involution from the pattern with that
     # slot flipped to +1 (already built, ordered by the number of -1 slots)
     mixed = sorted(
@@ -464,22 +432,8 @@ class CoefficientEvaluator:
     def eval(self, nu) -> Rat:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def describe(self) -> str:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def scan(self, nu) -> "str | None":
-        """Degeneracy description at nu for the strict pre-scan, else None."""
-        try:
-            self.eval(nu)
-        except DegenerateParameter as exc:
-            return str(exc)
-        return None
-
     def strict_value(self, nu):
         """(value, None) under strict semantics, or (None, problem)."""
-        message = self.scan(nu)
-        if message:
-            return None, message
         try:
             return self.eval(nu), None
         except DegenerateParameter as exc:
@@ -521,10 +475,25 @@ class RacahOp:
         return self.assemble(n)[1]
 
     def assemble(self, n: int) -> "tuple[ExactMatrix | None, list]":
-        """One evaluation pass: (matrix, []) or (None, degeneracy reports).
+        """Strict evaluation: (matrix, []) or (None, degeneracy reports)."""
+        matrix, problems = self._on_level(n, strict=True)
+        return (None, problems) if problems else (matrix, [])
 
-        Coefficients of shifts that would leave the nonnegative range must
-        evaluate to zero; a nonzero escaping coefficient is an error.
+    def matrix_on_level(self, n: int) -> ExactMatrix:
+        """Matrix on {|nu| = n} in descending-lex basis order (columns = images).
+
+        Evaluates with the numerator-first rule only (no strict pre-scan);
+        raises DegenerateParameter when a value cannot be resolved.
+        """
+        return self._on_level(n, strict=False)[0]
+
+    def _on_level(self, n: int, strict: bool) -> "tuple[ExactMatrix, list]":
+        """The one evaluation pass over (nu, term) behind both entry points.
+
+        Strict mode records each unresolvable coefficient and goes on; lenient
+        mode lets its DegenerateParameter propagate.  Coefficients of shifts
+        that would leave the nonnegative range must evaluate to zero; a
+        nonzero escaping coefficient is an error in both modes.
         """
         basis = level_indices(n, self.d)
         index = {nu: i for i, nu in enumerate(basis)}
@@ -533,10 +502,13 @@ class RacahOp:
         problems = []
         for col, nu in enumerate(basis):
             for term in self.terms:
-                value, problem = term.coef.strict_value(nu)
-                if problem:
-                    problems.append(f"shift {term.shift} at nu={nu}: {problem}")
-                    continue
+                if strict:
+                    value, problem = term.coef.strict_value(nu)
+                    if problem:
+                        problems.append(f"shift {term.shift} at nu={nu}: {problem}")
+                        continue
+                else:
+                    value = term.coef.eval(nu)
                 if value == 0:
                     continue
                 target = tuple(a + b for a, b in zip(nu, term.shift))
@@ -546,33 +518,7 @@ class RacahOp:
                         f"range at nu={nu}, shift {term.shift}"
                     )
                 entries[index[target]][col] += value
-        if problems:
-            return None, problems
-        return ExactMatrix(entries), []
-
-    def matrix_on_level(self, n: int) -> ExactMatrix:
-        """Matrix on {|nu| = n} in descending-lex basis order (columns = images).
-
-        Evaluates with the numerator-first rule only (no strict pre-scan);
-        raises DegenerateParameter when a value cannot be resolved.
-        """
-        basis = level_indices(n, self.d)
-        index = {nu: i for i, nu in enumerate(basis)}
-        size = len(basis)
-        entries = [[Rat(0)] * size for _ in range(size)]
-        for col, nu in enumerate(basis):
-            for term in self.terms:
-                value = term.coef.eval(nu)
-                if value == 0:
-                    continue
-                target = tuple(a + b for a, b in zip(nu, term.shift))
-                if any(t < 0 for t in target):
-                    raise ValueError(
-                        f"{self.name}: nonzero coefficient {rat_str(value)} escapes the "
-                        f"range at nu={nu}, shift {term.shift}"
-                    )
-                entries[index[target]][col] += value
-        return ExactMatrix(entries)
+        return ExactMatrix(entries), problems
 
     def to_json(self, n: int) -> dict:
         samples = level_indices(n, self.d)
@@ -613,29 +559,27 @@ class Summand:
     numerator: tuple
     denominator: tuple = ()
 
-    def eval(self, nu) -> Rat:
+    def eval(self, nu, strict: bool = False) -> Rat:
+        """Numerator-first value; DegenerateParameter if a denominator vanishes.
+
+        A vanishing numerator factor makes the summand 0 without touching the
+        denominator.  Strict mode trusts only *structural* (pure index)
+        factors for that, so a parameter-dependent zero over a vanishing
+        denominator is reported instead of resolved.
+        """
         value = self.const
         for factor in self.numerator:
-            value *= factor(nu)
-            if value == 0:
+            f = factor(nu)
+            if f == 0 and (factor.structural or not strict):
                 return Rat(0)
+            value *= f
         for factor in self.denominator:
             f = factor(nu)
             if f == 0:
-                raise DegenerateParameter(
-                    f"denominator form {factor.label} vanishes at nu={tuple(nu)}"
-                )
+                where = "" if strict else f" at nu={tuple(nu)}"
+                raise DegenerateParameter(f"denominator form {factor.label} vanishes{where}")
             value /= f
         return value
-
-    def scan(self, nu) -> "str | None":
-        for factor in self.numerator:
-            if factor.structural and factor(nu) == 0:
-                return None
-        for factor in self.denominator:
-            if factor(nu) == 0:
-                return f"denominator form {factor.label} vanishes"
-        return None
 
 
 class PrintedCoefficient(CoefficientEvaluator):
@@ -646,15 +590,11 @@ class PrintedCoefficient(CoefficientEvaluator):
     def eval(self, nu) -> Rat:
         return sum((s.eval(nu) for s in self.summands), Rat(0))
 
-    def scan(self, nu) -> "str | None":
-        for summand in self.summands:
-            message = summand.scan(nu)
-            if message:
-                return message
-        return None
-
-    def describe(self) -> str:
-        return self.label
+    def strict_value(self, nu):
+        try:
+            return sum((s.eval(nu, strict=True) for s in self.summands), Rat(0)), None
+        except DegenerateParameter as exc:
+            return None, str(exc)
 
 
 def _ff(label: str, fn, structural: bool = False) -> FormFactor:
@@ -1206,27 +1146,15 @@ def certificate_2d(nu, gamma) -> Rat:
 class ZMappedCoefficient(CoefficientEvaluator):
     """A ZFraction read through a nu -> z change of variables."""
 
-    def __init__(self, frac: ZFraction, z_of_nu: Callable, label: str):
+    def __init__(self, frac: ZFraction, z_of_nu: Callable):
         self.frac = frac
         self.z_of_nu = z_of_nu
-        self.label = label
 
     def eval(self, nu) -> Rat:
         try:
             return self.frac.evaluate(self.z_of_nu(tuple(nu)))
         except DegenerateParameter as exc:
             raise DegenerateParameter(f"{exc} [nu={tuple(nu)}]") from None
-
-    def strict_value(self, nu):
-        # the fraction is fully reduced, so evaluation and strict scanning
-        # coincide; one pass suffices
-        try:
-            return self.eval(nu), None
-        except DegenerateParameter as exc:
-            return None, str(exc)
-
-    def describe(self) -> str:
-        return self.label
 
 
 def predicted_m_action(variant: str, j: int, n: int, d: int, gamma) -> RacahOp:
@@ -1297,10 +1225,7 @@ def predicted_m_action(variant: str, j: int, n: int, d: int, gamma) -> RacahOp:
         terms_src = zop.terms
 
     terms = [
-        RacahTerm(
-            shift_of(sigma),
-            ZMappedCoefficient(frac, z_of_nu, f"{name} shift {shift_of(sigma)}"),
-        )
+        RacahTerm(shift_of(sigma), ZMappedCoefficient(frac, z_of_nu))
         for sigma, frac in terms_src.items()
     ]
     return RacahOp(d, name, terms)

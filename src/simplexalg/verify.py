@@ -3,10 +3,10 @@
 ``ModuleContext`` fixes a cell (d, n, gamma) and caches the graded family
 {P_mu : |mu| <= n} together with the inverse of its monomial-coordinate
 matrix, so expanding an operator image in the P basis is a single exact
-matrix product.  ``matrix_of`` returns the square block of a differential
-operator on the top level {|nu| = n}; it solves against the *full* graded
-family and asserts that nothing leaks into lower degrees, turning invariance
-of the degree-n span into a tested postcondition.
+matrix product.  ``ModuleContext.matrix_of`` returns the square block of a
+differential operator on the top level {|nu| = n}; it solves against the
+*full* graded family and raises if anything leaks into lower degrees, turning
+invariance of the degree-n span into a tested postcondition.
 
 Every verification below is an exact rational identity; a check result is
 pass, fail (with a counterexample payload), or degenerate (a difference
@@ -24,10 +24,10 @@ from math import comb
 from typing import Callable, Sequence
 
 from .diffops import DiffOp, commutator, f_combination, jm_recovered_generators, l_operator, l_total, m_operator
-from .errors import DegenerateParameter, ExactAlgebraError
+from .errors import DegenerateParameter, ExactAlgebraError, InvariantViolation
 from .jacobi import graded_indices, jacobi_simplex, level_indices, monomials_upto
 from .linalg import ExactMatrix, SpanBasis
-from .moments import inner_product
+from .moments import gram_diagonal, inner_product
 from .params import ParamVector, require_valid
 from .poly import MultiPoly
 from .racah import (
@@ -119,20 +119,10 @@ class ModuleContext:
         self.monomials = monomials_upto(n, d)
         self._mono_index = {m: i for i, m in enumerate(self.monomials)}
         self.polys = {nu: jacobi_simplex(nu, self.gamma) for nu in self.graded}
-        columns = [self._coords(self.polys[nu]) for nu in self.graded]
+        columns = [self.polys[nu].coordinates(self._mono_index) for nu in self.graded]
         self._basis_matrix = ExactMatrix.from_columns(columns)
         self._basis_inverse = self._basis_matrix.inverse()
         self._matrices: dict = {}
-
-    def _coords(self, poly: MultiPoly) -> list:
-        col = [Rat(0)] * len(self.monomials)
-        for exponent, coefficient in poly.terms.items():
-            col[self._mono_index[exponent]] = coefficient
-        return col
-
-    @property
-    def level_polys(self) -> list:
-        return [self.polys[nu] for nu in self.level]
 
     def expand(self, poly: MultiPoly) -> list:
         """Coefficients of ``poly`` in the graded family (exact)."""
@@ -140,7 +130,7 @@ class ModuleContext:
             raise ModuleInvarianceError(
                 f"degree {poly.total_degree()} image escapes the degree-{self.n} space"
             )
-        return self._basis_inverse.matvec(self._coords(poly))
+        return self._basis_inverse.matvec(poly.coordinates(self._mono_index))
 
     def matrix_of(self, op: DiffOp, name: str | None = None) -> ExactMatrix:
         """Square matrix of ``op`` on {|nu| = n}; columns are images of P_nu.
@@ -180,10 +170,6 @@ class ModuleContext:
             (i, j): self.generator_matrix(i, j)
             for i, j in combinations(range(1, self.d + 2), 2)
         }
-
-
-def matrix_of(op: DiffOp, ctx: ModuleContext) -> ExactMatrix:
-    return ctx.matrix_of(op)
 
 
 def _timed(fn: Callable[[], CheckResult]) -> CheckResult:
@@ -279,7 +265,7 @@ def verify_matrix_commutation(ctx: ModuleContext) -> CheckResult:
     return CheckResult("kd-matrix", "pass", "matrix commutation relations hold")
 
 
-def _racah_pairs(ctx: ModuleContext, mode: str):
+def _racah_pairs(ctx: ModuleContext):
     """(label, differential DiffOp, RacahOp) triples to compare on this cell."""
     d, gamma = ctx.d, ctx.gamma
     pairs = []
@@ -303,8 +289,9 @@ def _racah_pairs(ctx: ModuleContext, mode: str):
 
 def verify_difference_action(ctx: ModuleContext, mode: str = "strict") -> CheckResult:
     """Exact matrix equality of each differential operator and its difference form."""
+    pairs = _racah_pairs(ctx)
     degenerate = []
-    for label, diff_op, racah_op in _racah_pairs(ctx, mode):
+    for label, diff_op, racah_op in pairs:
         if mode == "strict":
             racah_matrix, problems = racah_op.assemble(ctx.n)
             if problems:
@@ -322,7 +309,7 @@ def verify_difference_action(ctx: ModuleContext, mode: str = "strict") -> CheckR
     if degenerate:
         return CheckResult("racah", "degenerate", "; ".join(degenerate))
     return CheckResult(
-        "racah", "pass", f"difference = differential for {len(_racah_pairs(ctx, mode))} operators"
+        "racah", "pass", f"difference = differential for {len(pairs)} operators"
     )
 
 
@@ -368,6 +355,17 @@ def verify_f_relation(ctx: ModuleContext, operator_level: bool = True) -> CheckR
 
 def verify_selfadjoint_orthogonal(ctx: ModuleContext) -> CheckResult:
     """Orthogonality of the family and self-adjointness of every generator."""
+    generators = [
+        l_operator(i, j, ctx.d, ctx.gamma) for i, j in combinations(range(1, ctx.d + 2), 2)
+    ]
+    return _orthogonal_selfadjoint(ctx, generators)
+
+
+def _orthogonal_selfadjoint(ctx: ModuleContext, operators: Sequence[DiffOp]) -> CheckResult:
+    """Pairwise orthogonality of {P_mu : |mu| <= n}, then Gram-twisted
+    symmetry G A = A^T G of each operator's matrix A on that family, with
+    G = diag(<P_mu, P_mu>).  Given orthogonality, (G A)[a, b] = <P_a, L P_b>
+    and (A^T G)[a, b] = <L P_a, P_b>, so this is self-adjointness itself."""
     gamma = ctx.gamma
     if not all(gamma[j] > -1 for j in range(1, ctx.d + 2)):
         return CheckResult(
@@ -381,34 +379,19 @@ def verify_selfadjoint_orthogonal(ctx: ModuleContext) -> CheckResult:
                 return CheckResult(
                     "orthogonality", "fail", f"<P_{indices[a]}, P_{indices[b]}> != 0"
                 )
-    generators = [
-        l_operator(i, j, ctx.d, gamma) for i, j in combinations(range(1, ctx.d + 2), 2)
-    ]
-    for op_index, op in enumerate(generators):
-        images = [op.apply(p) for p in polys]
+    gram = gram_diagonal(polys, gamma)
+    for op_index, op in enumerate(operators):
+        columns = [ctx.expand(op.apply(p)) for p in polys]  # columns[b][a] = A[a, b]
         for a in range(len(polys)):
             for b in range(a, len(polys)):
-                left = inner_product(images[a], polys[b], gamma)
-                right = inner_product(polys[a], images[b], gamma)
-                if left != right:
+                if gram[a] * columns[b][a] != columns[a][b] * gram[b]:
                     return CheckResult(
                         "orthogonality",
                         "fail",
                         f"generator #{op_index} not self-adjoint at ({indices[a]}, {indices[b]})",
                     )
-    # Gram-twisted symmetry on the top level: G A = A^T G with G diagonal
-    gram = [inner_product(ctx.polys[nu], ctx.polys[nu], gamma) for nu in ctx.level]
-    for i, j in combinations(range(1, ctx.d + 2), 2):
-        a = ctx.generator_matrix(i, j)
-        size = len(ctx.level)
-        for r in range(size):
-            for c in range(size):
-                if gram[r] * a[(r, c)] != a[(c, r)] * gram[c]:
-                    return CheckResult(
-                        "orthogonality", "fail", f"Gram symmetry fails for L_({i},{j})"
-                    )
     return CheckResult(
-        "orthogonality", "pass", f"{len(indices)} family members, {len(generators)} generators"
+        "orthogonality", "pass", f"{len(indices)} family members, {len(operators)} generators"
     )
 
 
@@ -505,7 +488,8 @@ def submodule_diagnostic(ctx: ModuleContext) -> CheckResult:
         rows = [level_pos[nu] for nu in block]
         row_set = set(rows)
         sub_ctx = ModuleContext(d - 1, n - k, tail_gamma)
-        assert [nu[1:] for nu in block] == sub_ctx.level
+        if [nu[1:] for nu in block] != sub_ctx.level:
+            raise InvariantViolation(f"block nu_1={k} is not ordered like the d-1 level")
         pairs = []
         for i, j in combinations(range(2, d + 2), 2):
             big = ctx.generator_matrix(i, j)
@@ -532,7 +516,8 @@ def submodule_diagnostic(ctx: ModuleContext) -> CheckResult:
     row_set = set(rows)
     hat_gamma = ParamVector([gamma[1], gamma[2], gamma.tail_sum(3) + d - 2])
     hat_ctx = ModuleContext(2, n, hat_gamma)
-    assert [nu[:2] for nu in block] == hat_ctx.level
+    if [nu[:2] for nu in block] != hat_ctx.level:
+        raise InvariantViolation("plane block is not ordered like the 2-variable level")
     hats = [
         (l_operator(1, 2, d, gamma), hat_ctx.generator_matrix(1, 2)),
         (
@@ -577,11 +562,7 @@ def generator_rank(d: int, gamma, degree: int = 3) -> int:
         op = l_operator(i, j, d, params)
         flat = []
         for exponent in monomials:
-            image = op.apply(MultiPoly.monomial(d, exponent))
-            column = [Rat(0)] * len(monomials)
-            for e, c in image.terms.items():
-                column[index[e]] = c
-            flat.extend(column)
+            flat.extend(op.apply(MultiPoly.monomial(d, exponent)).coordinates(index))
         if span.add(flat):
             rank += 1
     return rank

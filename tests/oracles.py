@@ -2,16 +2,20 @@
 
 Everything here deliberately takes a different route from the library code it
 checks: the product-formula references expand through powers of t instead of
-powers of (1-t)/2, and the moment oracle integrates monomials literally by
-iterated antiderivatives instead of using the closed Pochhammer form.
+powers of (1-t)/2, the moment oracle integrates monomials literally by
+iterated antiderivatives instead of using the closed Pochhammer form, and the
+self-adjointness oracle compares polynomial inner products instead of the
+Gram-twisted symmetry of expansion matrices.
 """
 
 import random
 
 from simplexalg.jacobi import jacobi1d
+from simplexalg.moments import inner_product
 from simplexalg.params import ParamVector, check_gamma
 from simplexalg.poly import MultiPoly
 from simplexalg.scalar import Rat
+from simplexalg.verify import CheckResult
 
 
 def t_poly_coeffs(p: MultiPoly) -> list:
@@ -116,3 +120,37 @@ def sample_valid_gammas(seed: int, d: int, count: int, positive: bool = False) -
         if not check_gamma(values, d):
             out.append(ParamVector(values))
     return out
+
+
+def selfadjoint_orthogonal_oracle(ctx, operators) -> CheckResult:
+    """Orthogonality of {P_mu : |mu| <= n}, then <L P_a, P_b> = <P_a, L P_b>
+    for every operator L and every pair (a, b) of the graded family, by
+    O(N^2 * operators) polynomial inner products."""
+    gamma = ctx.gamma
+    if not all(gamma[j] > -1 for j in range(1, ctx.d + 2)):
+        return CheckResult(
+            "orthogonality", "degenerate", "requires gamma_j > -1 for the integral form"
+        )
+    indices = ctx.graded
+    polys = [ctx.polys[nu] for nu in indices]
+    for a in range(len(polys)):
+        for b in range(a + 1, len(polys)):
+            if inner_product(polys[a], polys[b], gamma) != 0:
+                return CheckResult(
+                    "orthogonality", "fail", f"<P_{indices[a]}, P_{indices[b]}> != 0"
+                )
+    for op_index, op in enumerate(operators):
+        images = [op.apply(p) for p in polys]
+        for a in range(len(polys)):
+            for b in range(a, len(polys)):
+                left = inner_product(images[a], polys[b], gamma)
+                right = inner_product(polys[a], images[b], gamma)
+                if left != right:
+                    return CheckResult(
+                        "orthogonality",
+                        "fail",
+                        f"generator #{op_index} not self-adjoint at ({indices[a]}, {indices[b]})",
+                    )
+    return CheckResult(
+        "orthogonality", "pass", f"{len(indices)} family members, {len(operators)} generators"
+    )

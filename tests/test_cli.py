@@ -164,3 +164,11 @@ def test_console_entry_point_runs():
 def test_missing_required_flag_is_usage_error():
     assert run_cli("matrix", "--op", "L:1,2", "--d", "2", "--n", "1") == EXIT_USAGE
     assert run_cli("sweep", "--draws", "1") == EXIT_USAGE
+
+
+def test_d_below_two_is_usage_error(capsys):
+    assert run_cli("verify", "--gamma", "1/2,1/3") == EXIT_USAGE
+    assert run_cli("sweep", "--seed", "1", "--d", "1", "--draws", "1") == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("usage error:") for line in lines)

@@ -338,3 +338,35 @@ def test_racah_json_shape():
     assert {tuple(t["shift"]) for t in payload["terms"]} == {(-1, 1), (0, 0), (1, -1)}
     for term in payload["terms"]:
         assert all(set(s) == {"nu", "value"} for s in term["coef_at"])
+
+
+def _level_outcome(evaluate):
+    try:
+        return evaluate()
+    except ValueError as exc:  # a nonzero coefficient escaping the range
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("gamma", [G0_2, G_2, G0_3, G_3], ids=["G0_2", "G_2", "G0_3", "G_3"])
+def test_strict_and_lenient_agree_where_strict_finds_no_problem(gamma):
+    d = gamma.d
+    checked = 0
+    for n in range(4):
+        printed = [b12_operator(gamma)] if d == 2 else [
+            b23_operator(gamma), b134_operator(gamma), b123_operator(gamma)
+        ]
+        general = [
+            predicted_m_action(variant, j, n, d, gamma)
+            for j in range(2, d + 1)
+            for variant in ("plus", "minus")
+        ]
+        for op in printed + general:
+            strict = _level_outcome(lambda: op.assemble(n))
+            if isinstance(strict, tuple):
+                matrix, problems = strict
+                if problems:
+                    continue
+                strict = matrix
+            assert strict == _level_outcome(lambda: op.matrix_on_level(n)), (op.name, n)
+            checked += 1
+    assert checked

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+from oracles import sample_valid_gammas, selfadjoint_orthogonal_oracle
 from simplexalg.diffops import DiffOp, l_operator
 from simplexalg.errors import InvalidParameter
 from simplexalg.jacobi import level_indices
@@ -22,6 +25,7 @@ from simplexalg.verify import (
     verify_selfadjoint_orthogonal,
     verify_separation,
     verify_spectral,
+    _orthogonal_selfadjoint,
 )
 
 G0_2 = ParamVector([0, 0, 0])
@@ -145,6 +149,30 @@ def test_orthogonality_pass_and_degenerate(ctx_3):
     assert verify_selfadjoint_orthogonal(ctx_3).status == "pass"
     negative = ModuleContext(2, 1, ParamVector([Rat(-3, 2), Rat(1, 2), Rat(1, 2)]))
     assert verify_selfadjoint_orthogonal(negative).status == "degenerate"
+
+
+def _generators(d, gamma):
+    return [l_operator(i, j, d, gamma) for i, j in combinations(range(1, d + 2), 2)]
+
+
+@pytest.mark.parametrize(
+    "d, n, seed", [(2, 1, 900), (2, 2, 901), (2, 3, 902), (3, 1, 910), (3, 2, 911), (3, 3, 912)]
+)
+def test_gram_check_agrees_with_inner_product_oracle(d, n, seed):
+    gamma = sample_valid_gammas(seed, d, 1, positive=True)[0]
+    ctx = ModuleContext(d, n, gamma)
+    result = verify_selfadjoint_orthogonal(ctx)
+    assert result.status == "pass"
+    assert result == selfadjoint_orthogonal_oracle(ctx, _generators(d, gamma))
+
+
+def test_gram_check_and_oracle_reject_a_non_self_adjoint_operator():
+    # x_1 d/dx_1 preserves degree but is not symmetric for the simplex weight
+    ctx = ModuleContext(2, 2, G_2)
+    operators = _generators(2, G_2) + [DiffOp(2, {(1, 0): MultiPoly.variable(2, 0)})]
+    result = _orthogonal_selfadjoint(ctx, operators)
+    assert result.status == "fail"
+    assert result == selfadjoint_orthogonal_oracle(ctx, operators)
 
 
 def test_irreducibility_and_orbits(ctx_3):
