@@ -12,7 +12,8 @@ difference side.  Gamma values are comma-separated exact rationals ("p/q" or
 integers); decimal input is rejected everywhere.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage error, 3 invalid
-parameters, 4 degenerate parameters in strict mode.
+parameters, 4 degenerate parameters in strict mode, 5 internal error (an
+unexpected exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_DEGENERATE = 4
+EXIT_INTERNAL = 5
 
 
 class UsageError(Exception):
@@ -402,6 +404,9 @@ def main(argv=None) -> int:
     except DegenerateParameter as exc:
         print(f"degenerate parameters: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except Exception as exc:  # a fault of the program, not a verdict on the cell
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

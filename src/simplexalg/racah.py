@@ -19,23 +19,30 @@ difference operator
 whose coefficients C_{j,p} are rational functions of z_1..z_{j+1} assembled
 from the quadratic kernels B_i^{a,b} and the univariate-linear denominators
 b_i^{0/1}; sign patterns with -1 entries are obtained by applying the
-involutions I_k : z_k -> -z_k - beta_k.  Coefficients are kept as exact
-fractions whose denominators are products of univariate linear factors; the
-removable factors are cancelled symbolically (synthetic division), which is
-essential: pointwise numerator-first evaluation of the *general* family would
-assign 0 to coefficients whose true value is a finite nonzero limit.
+involutions I_k : z_k -> -z_k - beta_k.  ``racah_operator`` keeps them as
+exact fractions whose denominators are products of univariate linear
+factors, with the removable factors cancelled symbolically (synthetic
+division).
 
 ``predicted_m_action`` maps the general family onto the degree indices nu and
 produces the difference operators representing the cyclic Jucys-Murphy
 operators M_j^+ and M_j^- on the span of {P_nu : |nu| = n}: the plus variant
 is conjugated by g(nu) = (1+gamma_1)_{nu_1} / (|gamma|+2n+d-nu_1)_{nu_1} and
-shifted by the constant n(n + beta^+_j - beta^+_0 - 1).
+shifted by the constant n(n + beta^+_j - beta^+_0 - 1).  Its coefficients
+are evaluated pointwise from the product form: the kernels over the factors
+b_i at the involuted point, times the g(nu) factor.  Wherever no factor of
+that unreduced denominator vanishes, this is exactly the value of the
+reduced fraction, whose denominator divides it.  Where one vanishes, the
+value may be a finite limit that numerator-first evaluation would miss, so
+the folded, reduced fractions are built (once per operator) and evaluated
+there instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Callable, Sequence
 
 from .errors import DegenerateParameter, DimensionMismatch, InvariantViolation
@@ -260,14 +267,10 @@ def _zvar(nvars: int, k: int) -> MultiPoly:
     return MultiPoly.variable(nvars, k - 1)
 
 
-def kernel_poly(i: int, bit1: int, bit2: int, beta, nvars: int) -> MultiPoly:
-    """The quadratic kernel B_i^{bit1,bit2} as a polynomial in z_1..z_nvars."""
-    b_i, b_i1 = as_rat(beta[i]), as_rat(beta[i + 1])
-    zi, zi1 = _zvar(nvars, i), _zvar(nvars, i + 1)
+def _kernel(bit1: int, bit2: int, zi, zi1, b_i, b_i1):
+    """B_i^{bit1,bit2}(z_i, z_{i+1}) over any ring: polynomials or rationals."""
     if (bit1, bit2) == (0, 0):
-        return zi * (zi + b_i) + zi1 * (zi1 + b_i1) + MultiPoly.const(
-            nvars, (b_i + 1) * (b_i1 - 1) / 2
-        )
+        return zi * (zi + b_i) + zi1 * (zi1 + b_i1) + (b_i + 1) * (b_i1 - 1) / 2
     if (bit1, bit2) == (0, 1):
         return (zi1 + zi + b_i1) * (zi1 - zi + b_i1 - b_i)
     if (bit1, bit2) == (1, 0):
@@ -275,6 +278,12 @@ def kernel_poly(i: int, bit1: int, bit2: int, beta, nvars: int) -> MultiPoly:
     if (bit1, bit2) == (1, 1):
         return (zi1 + zi + b_i1) * (zi1 + zi + b_i1 + 1)
     raise ValueError("bits must be 0 or 1")
+
+
+def kernel_poly(i: int, bit1: int, bit2: int, beta, nvars: int) -> MultiPoly:
+    """The quadratic kernel B_i^{bit1,bit2} as a polynomial in z_1..z_nvars."""
+    zi, zi1 = _zvar(nvars, i), _zvar(nvars, i + 1)
+    return _kernel(bit1, bit2, zi, zi1, as_rat(beta[i]), as_rat(beta[i + 1]))
 
 
 def _b_denominator(i: int, bit: int, beta) -> "tuple[Rat, list]":
@@ -289,17 +298,18 @@ def _b_denominator(i: int, bit: int, beta) -> "tuple[Rat, list]":
 
 def racah_kernel(i: int, z: Sequence, beta) -> dict:
     """The six kernel values at a concrete point (z_0 = 0 convention)."""
-    nvars = max(len(z), i + 1)
-    zvals = [as_rat(v) for v in z] + [Rat(0)] * (nvars - len(z))
-    values = {}
-    for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        values[f"B{bits[0]}{bits[1]}"] = kernel_poly(i, *bits, beta, nvars).evaluate(zvals)
+    # zvals[k] = z_k, padded with zeros up to z_{i+1}
+    zvals = [Rat(0)] + [as_rat(v) for v in z] + [Rat(0)] * (i + 1 - len(z))
+    b_i, b_i1 = as_rat(beta[i]), as_rat(beta[i + 1])
+    values = {
+        f"B{a}{b}": _kernel(a, b, zvals[i], zvals[i + 1], b_i, b_i1)
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))
+    }
     for bit in (0, 1):
         const, factors = _b_denominator(i, bit, beta)
-        value = const
-        for var, root in factors:
-            value *= zvals[var - 1] - root
-        values[f"b{bit}"] = value
+        for _, root in factors:
+            const *= zvals[i] - root
+        values[f"b{bit}"] = const
     return values
 
 
@@ -355,6 +365,13 @@ class ZShiftOp:
         )
 
 
+def _sign_patterns(j: int) -> list:
+    """{-1,0,1}^j in the term order of the general family: the patterns in
+    {0,1}^j first, then the others by their number of -1 slots."""
+    mixed = [p for p in product((-1, 0, 1), repeat=j) if -1 in p]
+    return list(product((0, 1), repeat=j)) + sorted(mixed, key=lambda p: p.count(-1))
+
+
 def racah_operator(j: int, beta, boundary=None) -> ZShiftOp:
     """The I-invariant operator B_j(z;beta); beta supplies beta_0..beta_{j+1}.
 
@@ -388,15 +405,14 @@ def _build_racah_operator(j: int, beta, boundary) -> ZShiftOp:
     if len(beta) < j + 2:
         raise ValueError(f"need beta_0..beta_{j + 1}")
     nvars = j + 1
-    terms = {base: racah_coefficient(j, base, beta) for base in product((0, 1), repeat=j)}
-    # patterns with -1 entries: one involution from the pattern with that
-    # slot flipped to +1 (already built, ordered by the number of -1 slots)
-    mixed = sorted(
-        (p for p in product((-1, 0, 1), repeat=j) if p not in terms),
-        key=lambda p: sum(1 for s in p if s == -1),
-    )
-    for pattern in mixed:
-        k = next(i for i, s in enumerate(pattern) if s == -1)
+    terms: dict = {}
+    for pattern in _sign_patterns(j):
+        if -1 not in pattern:
+            terms[pattern] = racah_coefficient(j, pattern, beta)
+            continue
+        # one involution from the pattern with the first -1 slot flipped to
+        # +1, which has one -1 slot fewer and so is already built
+        k = pattern.index(-1)
         parent = pattern[:k] + (1,) + pattern[k + 1 :]
         terms[pattern] = terms[parent].involution(k + 1, beta[k + 1]).reduce()
     zj1 = _zvar(nvars, j + 1)
@@ -1143,16 +1159,127 @@ def certificate_2d(nu, gamma) -> Rat:
 # -- the general family specialized to degree indices ------------------------
 
 
-class ZMappedCoefficient(CoefficientEvaluator):
-    """A ZFraction read through a nu -> z change of variables."""
+class _FoldedFamily:
+    """The coefficients of one predicted M_j action, C_{m,sigma} read on nu.
 
-    def __init__(self, frac: ZFraction, z_of_nu: Callable):
-        self.frac = frac
+    ``value`` evaluates a coefficient from the paper's product form: the
+    kernels B_k over the factors b_k at I_sigma(z), times the g(nu) fold
+    factor of the plus variant, and on the zero shift minus the identity
+    term plus the plus variant's constant.  Where no unreduced denominator
+    factor vanishes this is the value of the reduced fraction, whose
+    denominator divides the unreduced one; where one does, ``value`` returns
+    None and ``exact`` supplies the folded, reduced ZFractions, built once.
+    """
+
+    def __init__(self, m: int, beta, boundary, fold, constant, z_of_nu: Callable):
+        self.m = m
+        self.beta = tuple(as_rat(b) for b in beta[: m + 2])
+        self.boundary = boundary
+        self.fold = fold  # (gamma_1, A) for the plus variant, else None
+        self.constant = constant
         self.z_of_nu = z_of_nu
+        # b_k^bit for k = 1..m as (constant, roots of its monic linear factors)
+        self.b_factors = {}
+        for k in range(1, m + 1):
+            for bit in (0, 1):
+                const, factors = _b_denominator(k, bit, self.beta)
+                self.b_factors[k, bit] = (const, [root for _, root in factors])
+        self.identity_const = (self.beta[0] + 1) * (self.beta[m + 1] - 1) / 2
+        self._exact = None
+
+    def value(self, sigma, z):
+        """C_sigma at z from the product form, or None on a vanishing factor."""
+        m, beta = self.m, self.beta
+        zs = [0, *z]  # zs[k] = z_k with z_0 = 0
+        if self.boundary is not None:
+            zs[m + 1] = self.boundary
+        z1 = zs[1]
+        bits = [0] * (m + 2)
+        for k, s in enumerate(sigma, start=1):
+            bits[k] = abs(s)
+            if s == -1:
+                zs[k] = -zs[k] - beta[k]
+        den = []  # the unreduced denominator, factor by factor
+        for k in range(1, m + 1):
+            const, roots = self.b_factors[k, bits[k]]
+            den.append(const)
+            den += (zs[k] - root for root in roots)
+        fold_num = 1
+        if self.fold is not None and sigma[0]:
+            g1, A = self.fold
+            if sigma[0] == 1:
+                # g(nu+mu)/g(nu) = (z_1 + g_1 + 1) / (A - 1 - z_1)
+                fold_num = z1 + g1 + 1
+                den.append(A - 1 - z1)
+            else:
+                # g(nu+mu)/g(nu) = (A - z_1) / (z_1 + g_1)
+                fold_num = A - z1
+                den.append(z1 + g1)
+        if 0 in den:
+            return None
+        value = as_rat(fold_num)
+        for k in range(m + 1):
+            value *= _kernel(bits[k], bits[k + 1], zs[k], zs[k + 1], beta[k], beta[k + 1])
+            if value == 0:
+                break
+        else:
+            value /= prod(den)
+        if not any(sigma):
+            last = zs[m + 1]
+            value -= last * (last + beta[m + 1]) + self.identity_const
+            value += self.constant
+        return value
+
+    def exact(self) -> dict:
+        """sigma -> the folded, reduced ZFraction of C_sigma (built on first use)."""
+        if self._exact is None:
+            zop = racah_operator(self.m, self.beta, boundary=self.boundary)
+            self._exact = zop.terms if self.fold is None else self._folded(zop)
+        return self._exact
+
+    def _folded(self, zop: ZShiftOp) -> dict:
+        """Fold the diagonal conjugation by g(nu) into each coefficient."""
+        g1, A = self.fold
+        nvars = zop.nvars
+        z1 = MultiPoly.variable(nvars, 0)
+        folded = {}
+        for sigma, frac in zop.terms.items():
+            if sigma[0] == 1:
+                frac = frac.mul_poly(z1 + MultiPoly.const(nvars, g1 + 1))
+                frac = frac.mul_scalar(-1).div_linear(1, A - 1)
+            elif sigma[0] == -1:
+                frac = frac.mul_poly(z1.scale(-1) + MultiPoly.const(nvars, A))
+                frac = frac.div_linear(1, -g1)
+            folded[sigma] = frac.reduce()
+        zero = (0,) * self.m
+        folded[zero] = folded[zero].add_const(self.constant)
+        return folded
+
+
+class ZMappedCoefficient(CoefficientEvaluator):
+    """One general-family coefficient read through a nu -> z change of variables.
+
+    Evaluated from the product form; the reduced fraction ``frac`` is used
+    only where a factor of the unreduced denominator vanishes.
+    """
+
+    def __init__(self, family: _FoldedFamily, sigma: tuple):
+        self.family = family
+        self.sigma = sigma
+        self.z_of_nu = family.z_of_nu
+
+    @property
+    def frac(self) -> ZFraction:
+        """The folded, reduced ZFraction of this coefficient."""
+        return self.family.exact()[self.sigma]
 
     def eval(self, nu) -> Rat:
+        z = self.z_of_nu(tuple(nu))
+        value = self.family.value(self.sigma, z)
+        if value is not None:
+            return value
         try:
-            return self.frac.evaluate(self.z_of_nu(tuple(nu)))
+            return self.frac.evaluate(z)
         except DegenerateParameter as exc:
             raise DegenerateParameter(f"{exc} [nu={tuple(nu)}]") from None
 
@@ -1170,28 +1297,11 @@ def predicted_m_action(variant: str, j: int, n: int, d: int, gamma) -> RacahOp:
         m = j - 1
         beta = beta_plus
         boundary = n if j == d else None
-        zop = racah_operator(m, beta.values[: m + 2], boundary=boundary)
-
-        # fold the diagonal conjugation by g(nu) into each coefficient:
-        # shifts with sigma_1 = +1 gain (1+g_1+z_1)/(A-1-z_1), sigma_1 = -1
-        # gain (A-z_1)/(g_1+z_1), where A = |gamma| + 2n + d.
-        A = params.total() + 2 * n + d
-        nvars = zop.nvars
-        z1 = MultiPoly.variable(nvars, 0)
-        folded = {}
-        for sigma, frac in zop.terms.items():
-            if m >= 1 and sigma[0] == 1:
-                # g(nu+mu)/g(nu) = (z_1 + g_1 + 1) / (A - 1 - z_1)
-                frac = frac.mul_poly(z1 + MultiPoly.const(nvars, params[1] + 1))
-                frac = frac.mul_scalar(-1).div_linear(1, A - 1)
-            elif m >= 1 and sigma[0] == -1:
-                # g(nu+mu)/g(nu) = (A - z_1) / (z_1 + g_1)
-                frac = frac.mul_poly(z1.scale(-1) + MultiPoly.const(nvars, A))
-                frac = frac.div_linear(1, -params[1])
-            folded[sigma] = frac.reduce()
+        # the diagonal conjugation by g(nu): shifts with sigma_1 = +1 gain
+        # (1+g_1+z_1)/(A-1-z_1), sigma_1 = -1 gain (A-z_1)/(g_1+z_1), where
+        # A = |gamma| + 2n + d; the zero shift gains n(n + beta_j - beta_0 - 1)
+        fold = (params[1], params.total() + 2 * n + d)
         constant = n * (n + beta[j] - beta[0] - 1)
-        zero = (0,) * m
-        folded[zero] = folded[zero].add_const(constant)
 
         def z_of_nu(nu):
             return tuple(sum(nu[:l]) for l in range(1, m + 2))
@@ -1204,12 +1314,11 @@ def predicted_m_action(variant: str, j: int, n: int, d: int, gamma) -> RacahOp:
             return tuple(mu)
 
         name = f"R+:{j}"
-        terms_src = folded
     else:
         m = d + 1 - j
         beta = beta_minus
         boundary = n if j == 2 else None
-        zop = racah_operator(m, beta.values[: m + 2], boundary=boundary)
+        fold, constant = None, 0
 
         def z_of_nu(nu):
             return tuple(sum(nu[d - l :]) for l in range(1, m + 2))
@@ -1222,10 +1331,10 @@ def predicted_m_action(variant: str, j: int, n: int, d: int, gamma) -> RacahOp:
             return tuple(mu)
 
         name = f"R-:{j}"
-        terms_src = zop.terms
 
+    family = _FoldedFamily(m, beta.values, boundary, fold, constant, z_of_nu)
     terms = [
-        RacahTerm(shift_of(sigma), ZMappedCoefficient(frac, z_of_nu))
-        for sigma, frac in terms_src.items()
+        RacahTerm(shift_of(sigma), ZMappedCoefficient(family, sigma))
+        for sigma in _sign_patterns(m)
     ]
     return RacahOp(d, name, terms)

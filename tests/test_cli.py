@@ -5,6 +5,7 @@ import sys
 from simplexalg.cli import (
     EXIT_DEGENERATE,
     EXIT_FAIL,
+    EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_PASS,
     EXIT_USAGE,
@@ -172,3 +173,16 @@ def test_d_below_two_is_usage_error(capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2
     assert all(line.startswith("usage error:") for line in lines)
+
+
+def test_unexpected_exception_is_internal_error():
+    # gamma_2 + gamma_3 = -1: a nonzero general-family coefficient escapes
+    # the range, an internal fault rather than a verdict on the cell
+    result = subprocess.run(
+        [sys.executable, "-m", "simplexalg.cli", "verify", "--gamma", "-1/2,-1/2,-1/2", "--n", "2"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == EXIT_INTERNAL
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: ValueError: ")

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import sample_valid_gammas
 from simplexalg.errors import DegenerateParameter
 from simplexalg.jacobi import level_indices
 from simplexalg.params import ParamVector
@@ -370,3 +371,69 @@ def test_strict_and_lenient_agree_where_strict_finds_no_problem(gamma):
             assert strict == _level_outcome(lambda: op.matrix_on_level(n)), (op.name, n)
             checked += 1
     assert checked
+
+
+# -- pointwise product form against the reduced fractions --------------------
+
+# gamma_2 + gamma_3 in {0, -1}: the reduced fractions give a nonzero
+# coefficient that escapes the range
+ESCAPE_GAMMAS = ("-1/2,-5/2,5/2", "1/2,-2/3,2/3", "0,3/2,-3/2", "1,1/2,-1/2")
+# a tail sum gamma_j + ... + gamma_{d+1} is an integer <= 0: the racah suite
+# returns "fail"
+WRONG_FAIL_GAMMAS = ("5/3,1/2,-5/4,-5/4", "1/2,1/2,-1/2,-1/2")
+
+
+def _outcome(evaluate, suffix=""):
+    try:
+        return evaluate()
+    except DegenerateParameter as exc:
+        return f"DegenerateParameter: {exc}{suffix}"
+
+
+def _oracle_gammas():
+    gammas = [G_2, G_3, G0_2, G0_3]
+    for d in (2, 3, 4):
+        gammas += sample_valid_gammas(31 + d, d, 2)
+    return gammas + [ParamVector.parse(text) for text in ESCAPE_GAMMAS + WRONG_FAIL_GAMMAS]
+
+
+@pytest.mark.parametrize("gamma", _oracle_gammas(), ids=lambda g: ",".join(g.to_json()))
+def test_product_form_agrees_with_reduced_fractions(gamma):
+    """Every coefficient value (or degeneracy message) equals that of the
+    folded, reduced ZFraction; the fractions are needed only off G_2, G_3."""
+    d = gamma.d
+    fallbacks = 0
+    for n in range(4):
+        for j in range(2, d + 1):
+            for variant in ("plus", "minus"):
+                op = predicted_m_action(variant, j, n, d, gamma)
+                for term in op.terms:
+                    coef = term.coef
+                    for nu in level_indices(n, d):
+                        z = coef.z_of_nu(nu)
+                        fallbacks += coef.family.value(coef.sigma, z) is None
+                        reduced = _outcome(lambda: coef.frac.evaluate(z), f" [nu={nu}]")
+                        assert _outcome(lambda: coef.eval(nu)) == reduced, (
+                            op.name, n, term.shift, nu,
+                        )
+    if gamma in (G_2, G_3):
+        assert fallbacks == 0
+    elif gamma in (G0_2, G0_3) or ",".join(gamma.to_json()) in ESCAPE_GAMMAS + WRONG_FAIL_GAMMAS:
+        assert fallbacks
+
+
+def test_generic_cells_never_build_the_reduced_family(monkeypatch):
+    import simplexalg.racah as racah
+
+    def refuse(*args):
+        raise AssertionError("the reduced family was built")
+
+    monkeypatch.setattr(racah, "_build_racah_operator", refuse)
+    monkeypatch.setattr(racah, "_RACAH_CACHE", {})
+    for gamma in (G_2, G_3):
+        for n in range(4):
+            for j in range(2, gamma.d + 1):
+                for variant in ("plus", "minus"):
+                    op = predicted_m_action(variant, j, n, gamma.d, gamma)
+                    assert op.assemble(n)[1] == []
+                    op.matrix_on_level(n)

@@ -231,3 +231,11 @@ def test_reports_are_reproducible():
     a = run_suites(2, 2, G_2, suites=["spectral", "separation", "relations"])
     b = run_suites(2, 2, G_2, suites=["spectral", "separation", "relations"])
     assert a.json_bytes() == b.json_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_first_d6_racah_cell_passes(n):
+    # the j = 5 general family, evaluated from its product form
+    gamma = ParamVector([Rat(1, p) for p in (2, 3, 5, 7, 11, 13, 17)])
+    result = verify_difference_action(ModuleContext(6, n, gamma))
+    assert result.status == "pass", result.details
