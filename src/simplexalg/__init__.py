@@ -9,7 +9,6 @@ identity of the construction as an exact matrix or operator equality.
 
 from .diffops import (
     DiffOp,
-    OperatorExpr,
     anticommutator,
     commutator,
     f_combination,
@@ -17,7 +16,6 @@ from .diffops import (
     l_operator,
     l_total,
     m_operator,
-    op_algebra,
 )
 from .errors import (
     DegenerateParameter,
@@ -56,7 +54,7 @@ from .verify import (
     eigenvalue,
     generator_rank,
     irreducibility_check,
-    orbit_closure_dimensions,
+    reachable_counts,
     run_suites,
     submodule_diagnostic,
     verify_difference_action,

@@ -21,7 +21,6 @@ anticommutator identities become literal equality of expanded data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 from typing import Mapping
@@ -181,77 +180,6 @@ def anticommutator(a: DiffOp, b: DiffOp) -> DiffOp:
     return (a @ b) + (b @ a)
 
 
-# -- symbolic expressions over named generators -----------------------------
-
-
-@dataclass(frozen=True)
-class OperatorExpr:
-    """Composition tree over named generators.
-
-    Nodes: gen(name), sum, scale, compose, commutator, anticommutator.
-    ``evaluate`` expands the tree to a canonical DiffOp; the result does not
-    depend on association order of sums and compositions.
-    """
-
-    kind: str
-    args: tuple
-
-    @staticmethod
-    def gen(name: str) -> "OperatorExpr":
-        return OperatorExpr("gen", (name,))
-
-    def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return OperatorExpr("sum", (self, other))
-
-    def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return OperatorExpr("sum", (self, other.scale(-1)))
-
-    def scale(self, value) -> "OperatorExpr":
-        return OperatorExpr("scale", (as_rat(value), self))
-
-    def __matmul__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return OperatorExpr("compose", (self, other))
-
-    @staticmethod
-    def comm(a: "OperatorExpr", b: "OperatorExpr") -> "OperatorExpr":
-        return OperatorExpr("commutator", (a, b))
-
-    @staticmethod
-    def anti(a: "OperatorExpr", b: "OperatorExpr") -> "OperatorExpr":
-        return OperatorExpr("anticommutator", (a, b))
-
-    def evaluate(self, env: Mapping[str, DiffOp]) -> DiffOp:
-        if self.kind == "gen":
-            return env[self.args[0]]
-        if self.kind == "sum":
-            left, right = (child.evaluate(env) for child in self.args)
-            return left + right
-        if self.kind == "scale":
-            value, child = self.args
-            return child.evaluate(env).scale(value)
-        if self.kind == "compose":
-            left, right = (child.evaluate(env) for child in self.args)
-            return left @ right
-        if self.kind == "commutator":
-            left, right = (child.evaluate(env) for child in self.args)
-            return commutator(left, right)
-        if self.kind == "anticommutator":
-            left, right = (child.evaluate(env) for child in self.args)
-            return anticommutator(left, right)
-        raise ValueError(f"unknown node kind {self.kind}")
-
-
-def op_algebra(a: DiffOp, b: DiffOp, kind: str) -> DiffOp:
-    """compose | commutator | anticommutator of two expanded operators."""
-    if kind == "compose":
-        return a @ b
-    if kind == "commutator":
-        return commutator(a, b)
-    if kind == "anticommutator":
-        return anticommutator(a, b)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 # -- the generators ----------------------------------------------------------
 
 
@@ -378,31 +306,24 @@ def f_combination(i: int, j: int, k: int, l: int, d: int, gamma) -> DiffOp:
             raise ValueError(f"index {index} out of range for d = {d}")
     gi, gj, gk, gl = params[i], params[j], params[k], params[l]
 
-    gen = OperatorExpr.gen
-    comm, anti = OperatorExpr.comm, OperatorExpr.anti
-    ik, il, jk, jl, kl = gen("ik"), gen("il"), gen("jk"), gen("jl"), gen("kl")
-
-    expr = anti(comm(jk, kl), comm(ik, kl))
-    expr = expr - anti(kl, comm(ik, comm(jk, kl)))
-    expr = expr - anti(kl, ik @ jl).scale(2)
-    expr = expr + comm(ik, comm(kl, jl)).scale((1 + gk) * (1 + gl))
-    expr = expr + anti(ik, kl).scale((1 + gj) * (1 + gl))
-    expr = expr + anti(ik, jk).scale(1 - gl * gl)
-    expr = expr + anti(il, jl).scale(1 - gk * gk)
-    expr = expr + anti(jl, kl).scale((1 + gi) * (1 + gk))
-    expr = expr - (jk @ il).scale(4)
-    expr = expr + (jl @ ik).scale(2 * (-1 + gk + gl + gk * gl))
-    expr = expr - ik.scale(2 * gk * (1 + gj) * (1 + gl))
-    expr = expr + il.scale((1 + gj) * (1 + gk) * (1 + gk - gl + gk * gl))
-    expr = expr + jk.scale((1 + gi) * (1 + gl) * (1 - gk + gl + gk * gl))
-    expr = expr - jl.scale(2 * (1 + gi) * (1 + gk) * gl)
-    expr = expr - kl.scale((1 + gi) * (1 + gj) * (1 + gk) * (1 + gl))
-
-    env = {
-        "ik": l_operator(i, k, d, params),
-        "il": l_operator(i, l, d, params),
-        "jk": l_operator(j, k, d, params),
-        "jl": l_operator(j, l, d, params),
-        "kl": l_operator(k, l, d, params),
-    }
-    return expr.evaluate(env)
+    ik, il, jk, jl, kl = (
+        l_operator(a, b, d, params) for a, b in ((i, k), (i, l), (j, k), (j, l), (k, l))
+    )
+    jk_kl = commutator(jk, kl)
+    return (
+        anticommutator(jk_kl, commutator(ik, kl))
+        - anticommutator(kl, commutator(ik, jk_kl))
+        - anticommutator(kl, ik @ jl).scale(2)
+        + commutator(ik, commutator(kl, jl)).scale((1 + gk) * (1 + gl))
+        + anticommutator(ik, kl).scale((1 + gj) * (1 + gl))
+        + anticommutator(ik, jk).scale(1 - gl * gl)
+        + anticommutator(il, jl).scale(1 - gk * gk)
+        + anticommutator(jl, kl).scale((1 + gi) * (1 + gk))
+        - (jk @ il).scale(4)
+        + (jl @ ik).scale(2 * (-1 + gk + gl + gk * gl))
+        - ik.scale(2 * gk * (1 + gj) * (1 + gl))
+        + il.scale((1 + gj) * (1 + gk) * (1 + gk - gl + gk * gl))
+        + jk.scale((1 + gi) * (1 + gl) * (1 - gk + gl + gk * gl))
+        - jl.scale(2 * (1 + gi) * (1 + gk) * gl)
+        - kl.scale((1 + gi) * (1 + gj) * (1 + gk) * (1 + gl))
+    )

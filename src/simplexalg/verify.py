@@ -395,33 +395,45 @@ def _orthogonal_selfadjoint(ctx: ModuleContext, operators: Sequence[DiffOp]) -> 
     )
 
 
-def orbit_closure_dimensions(ctx: ModuleContext) -> list:
-    """Dimension of the generator orbit of each basis vector of the level."""
-    size = len(ctx.level)
-    generators = list(ctx.all_generator_matrices().values())
-    dims = []
+def reachable_counts(matrices: Sequence[ExactMatrix], size: int) -> list:
+    """Number of indices reachable from each index 0..size-1, counting the
+    index itself, where a -> b is an edge when some matrix has (b, a) != 0."""
+    successors = [
+        {b for matrix in matrices for b in range(size) if matrix[(b, a)] != 0}
+        for a in range(size)
+    ]
+    counts = []
     for start in range(size):
-        span = SpanBasis(size)
-        seed = [Rat(0)] * size
-        seed[start] = Rat(1)
-        span.add(seed)
-        frontier = [seed]
+        seen = {start}
+        frontier = [start]
         while frontier:
-            new_vectors = []
-            for vector in frontier:
-                for matrix in generators:
-                    image = matrix.matvec(vector)
-                    if span.add(image):
-                        new_vectors.append(image)
-            frontier = new_vectors
-        dims.append(span.dim)
-    return dims
+            new = successors[frontier.pop()] - seen
+            seen |= new
+            frontier.extend(new)
+        counts.append(len(seen))
+    return counts
 
 
 def irreducibility_check(ctx: ModuleContext) -> CheckResult:
-    """Orbit closure from every start vector reaches the full level dimension."""
+    """The paper's proof route.  The Jucys-Murphy sums M_j of the generator
+    matrices are diagonal with a simple joint spectrum, so a subspace that is
+    invariant under the generators (hence under every M_j) is spanned by basis
+    vectors.  The orbit of basis vector a is then spanned by the indices
+    reachable from a, and the level is irreducible when every index reaches
+    all of them."""
     size = len(ctx.level)
-    dims = orbit_closure_dimensions(ctx)
+    generators = ctx.all_generator_matrices()
+    m_sum = ExactMatrix.zeros(size, size)
+    spectra = [()] * size
+    for j in range(ctx.d, 0, -1):  # M_j = M_{j+1} + sum_l L_{j,l}
+        for l in range(j + 1, ctx.d + 2):
+            m_sum = m_sum + generators[(j, l)]
+        if any(m_sum[(a, b)] != 0 for a in range(size) for b in range(size) if a != b):
+            raise InvariantViolation(f"M_{j} is not diagonal on level {ctx.n}")
+        spectra = [(m_sum[(a, a)],) + key for a, key in enumerate(spectra)]
+    if len(set(spectra)) != size:
+        raise InvariantViolation(f"the M_j do not separate the indices of level {ctx.n}")
+    dims = reachable_counts(list(generators.values()), size)
     bad = [ctx.level[i] for i, dim in enumerate(dims) if dim != size]
     if bad:
         return CheckResult(

@@ -3,14 +3,16 @@
 Everything here deliberately takes a different route from the library code it
 checks: the product-formula references expand through powers of t instead of
 powers of (1-t)/2, the moment oracle integrates monomials literally by
-iterated antiderivatives instead of using the closed Pochhammer form, and the
+iterated antiderivatives instead of using the closed Pochhammer form, the
 self-adjointness oracle compares polynomial inner products instead of the
-Gram-twisted symmetry of expansion matrices.
+Gram-twisted symmetry of expansion matrices, and the orbit oracle grows each
+orbit by exact elimination instead of walking the nonzero pattern.
 """
 
 import random
 
 from simplexalg.jacobi import jacobi1d
+from simplexalg.linalg import SpanBasis
 from simplexalg.moments import inner_product
 from simplexalg.params import ParamVector, check_gamma
 from simplexalg.poly import MultiPoly
@@ -154,3 +156,26 @@ def selfadjoint_orthogonal_oracle(ctx, operators) -> CheckResult:
     return CheckResult(
         "orthogonality", "pass", f"{len(indices)} family members, {len(operators)} generators"
     )
+
+
+def orbit_closure_dimensions(matrices, size: int) -> list:
+    """Dimension of the smallest subspace that contains basis vector a and is
+    invariant under every matrix, for each a, by exact elimination over the
+    orbit."""
+    dims = []
+    for start in range(size):
+        span = SpanBasis(size)
+        seed = [Rat(0)] * size
+        seed[start] = Rat(1)
+        span.add(seed)
+        frontier = [seed]
+        while frontier:
+            new_vectors = []
+            for vector in frontier:
+                for matrix in matrices:
+                    image = matrix.matvec(vector)
+                    if span.add(image):
+                        new_vectors.append(image)
+            frontier = new_vectors
+        dims.append(span.dim)
+    return dims

@@ -197,19 +197,23 @@ def test_i_invariance_of_the_general_family():
     assert op1.apply_involution(1).equals(op1)
 
 
-def _eval_padded(frac, point):
-    """Evaluate at a lattice point, padding spectator variables with 0."""
-    values = list(point)[: frac.nvars]
-    values += [Rat(0)] * (frac.nvars - len(values))
-    return frac.evaluate(values)
+def _eval_padded(frac, point, memo):
+    """Evaluate at a lattice point, padding spectator variables with 0; the
+    values are memoized per (fraction, point) in ``memo``."""
+    key = (id(frac), point)
+    if key not in memo:
+        values = list(point)[: frac.nvars]
+        values += [Rat(0)] * (frac.nvars - len(values))
+        memo[key] = frac.evaluate(values)
+    return memo[key]
 
 
-def _compose_on_delta(a, b, src, dst):
+def _compose_on_delta(a, b, src, dst, memo):
     """<delta_dst | a b | delta_src> on the integer lattice."""
     total = Rat(0)
     for sigma_a, frac_a in a.terms.items():
         mid = tuple(d + s for d, s in zip(dst, sigma_a + (0,) * (len(dst) - len(sigma_a))))
-        coeff_a = _eval_padded(frac_a, dst)
+        coeff_a = _eval_padded(frac_a, dst, memo)
         if coeff_a == 0:
             continue
         sigma_b = tuple(s - m for s, m in zip(src, mid))
@@ -218,7 +222,7 @@ def _compose_on_delta(a, b, src, dst):
         frac_b = b.terms.get(sigma_b[: b.j])
         if frac_b is None:
             continue
-        total += coeff_a * _eval_padded(frac_b, mid)
+        total += coeff_a * _eval_padded(frac_b, mid, memo)
     return total
 
 
@@ -233,12 +237,13 @@ def test_pairwise_commutativity_on_grid(pair):
         grid = [(u, v) for u in range(4, 10) for v in range(11, 17)]
     else:
         grid = [(u, v, w) for u in range(4, 7) for v in range(8, 11) for w in range(12, 15)]
+    memo = {}  # a and b keep every fraction alive, so its id is a stable key
     for src in grid:
         for dst in grid:
             if sum(abs(x - y) for x, y in zip(src, dst)) > 4:
                 continue
-            left = _compose_on_delta(a, b, src, dst)
-            right = _compose_on_delta(b, a, src, dst)
+            left = _compose_on_delta(a, b, src, dst, memo)
+            right = _compose_on_delta(b, a, src, dst, memo)
             assert left == right, (src, dst)
 
 

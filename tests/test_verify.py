@@ -1,13 +1,15 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import sample_valid_gammas, selfadjoint_orthogonal_oracle
+from oracles import orbit_closure_dimensions, sample_valid_gammas, selfadjoint_orthogonal_oracle
 from simplexalg.diffops import DiffOp, l_operator
-from simplexalg.errors import InvalidParameter
+from simplexalg.errors import InvalidParameter, InvariantViolation
 from simplexalg.jacobi import level_indices
 from simplexalg.linalg import ExactMatrix
-from simplexalg.params import ParamVector
+from simplexalg.params import ParamVector, check_gamma
 from simplexalg.poly import MultiPoly
 from simplexalg.scalar import Rat
 from simplexalg.verify import (
@@ -15,7 +17,7 @@ from simplexalg.verify import (
     ModuleInvarianceError,
     eigenvalue,
     irreducibility_check,
-    orbit_closure_dimensions,
+    reachable_counts,
     run_suites,
     submodule_diagnostic,
     verify_difference_action,
@@ -177,10 +179,65 @@ def test_gram_check_and_oracle_reject_a_non_self_adjoint_operator():
 
 def test_irreducibility_and_orbits(ctx_3):
     ctx = ModuleContext(2, 3, G_2)
-    dims = orbit_closure_dimensions(ctx)
+    dims = orbit_closure_dimensions(list(ctx.all_generator_matrices().values()), len(ctx.level))
     assert dims == [len(ctx.level)] * len(ctx.level)
     assert irreducibility_check(ctx).status == "pass"
     assert irreducibility_check(ctx_3).status == "pass"
+
+
+@pytest.mark.parametrize(
+    "d, n, seed",
+    [(2, 1, 920), (2, 2, 921), (2, 3, 922), (3, 1, 930), (3, 2, 931), (3, 3, 932),
+     (4, 1, 940), (4, 2, 941), (4, 3, 942)],
+)
+def test_reachability_agrees_with_orbit_closure_oracle(d, n, seed):
+    gamma = sample_valid_gammas(seed, d, 1)[0]
+    ctx = ModuleContext(d, n, gamma)
+    matrices = list(ctx.all_generator_matrices().values())
+    size = len(ctx.level)
+    assert reachable_counts(matrices, size) == orbit_closure_dimensions(matrices, size)
+
+
+def test_reachability_and_oracle_agree_on_a_reducible_set():
+    # distinct diagonal entries make every invariant subspace a span of basis
+    # vectors; the block-triangular matrix keeps span{e_0, e_1} invariant
+    diagonal = ExactMatrix([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]])
+    block = ExactMatrix([[1, 2, 3, 0], [4, 5, 0, 6], [0, 0, 7, 8], [0, 0, 9, 1]])
+    matrices = [diagonal, block]
+    assert reachable_counts(matrices, 4) == [2, 2, 4, 4]
+    assert orbit_closure_dimensions(matrices, 4) == [2, 2, 4, 4]
+
+
+def test_irreducibility_check_raises_without_its_premise():
+    ctx = ModuleContext(2, 2, G_2)
+    size = len(ctx.level)
+    zero = ExactMatrix.zeros(size, size)
+    pairs = list(ctx.all_generator_matrices())
+    ctx.all_generator_matrices = lambda: {pair: zero for pair in pairs}
+    with pytest.raises(InvariantViolation, match="separate"):
+        irreducibility_check(ctx)
+    shift = ExactMatrix([[1 if c == r + 1 else 0 for c in range(size)] for r in range(size)])
+    ctx.all_generator_matrices = lambda: {pair: shift if pair == (2, 3) else zero for pair in pairs}
+    with pytest.raises(InvariantViolation, match="M_2 is not diagonal"):
+        irreducibility_check(ctx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 4]),
+    n=st.integers(0, 4),
+    fractions=st.lists(
+        st.tuples(st.integers(-6, 6), st.integers(1, 4)), min_size=5, max_size=5
+    ),
+)
+def test_jm_eigenvalues_separate_every_level(d, n, fractions):
+    # the premise of the irreducibility check, for gammas drawn like the CLI's
+    gamma = [Rat(num, den) for num, den in fractions[: d + 1]]
+    assume(not check_gamma(gamma, d))
+    tuples = {
+        tuple(eigenvalue(j, nu, gamma) for j in range(1, d + 1)) for nu in level_indices(n, d)
+    }
+    assert len(tuples) == len(level_indices(n, d))
 
 
 def test_submodule_diagnostic(ctx_3):
