@@ -30,14 +30,7 @@ from .diffops import f_combination, l_operator, l_total, m_operator
 from .errors import DegenerateParameter, InvalidParameter
 from .jacobi import level_indices
 from .params import ParamVector, check_gamma
-from .racah import (
-    RacahOp,
-    b12_operator,
-    b123_operator,
-    b134_operator,
-    b23_operator,
-    predicted_m_action,
-)
+from .racah import PRINTED_OPERATORS, RacahOp, predicted_m_action
 from .scalar import Rat
 from .verify import SUITES, ModuleContext, VerificationReport, run_suites
 
@@ -96,14 +89,8 @@ def build_operator(name: str, d: int, n: int, gamma: ParamVector):
             variant = "plus" if head == "R+" else "minus"
             return predicted_m_action(variant, indices[0], n, d, gamma)
         raise UsageError(f"unknown operator name {name!r}")
-    explicit = {
-        "B12": (2, b12_operator),
-        "B23": (3, b23_operator),
-        "B134": (3, b134_operator),
-        "B123": (3, b123_operator),
-    }
-    if name in explicit:
-        expected_d, builder = explicit[name]
+    if name in PRINTED_OPERATORS:
+        expected_d, builder = PRINTED_OPERATORS[name]
         if d != expected_d:
             raise UsageError(f"operator {name} requires --d {expected_d}")
         return builder(gamma)

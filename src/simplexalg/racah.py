@@ -4,11 +4,16 @@ Two layers live here.
 
 *Explicit low-dimensional operators.*  The three-term operators on two and
 three variables (``B12``, ``B23``, ``B134``) and the nine-term ``B123`` are
-transcribed coefficient by coefficient.  Each printed coefficient is a sum of
-summands of the form const * (numerator factors) / (denominator factors);
-evaluation is numerator-first: if the numerator product vanishes the summand
-is 0 and the denominator is never touched, otherwise a vanishing denominator
-raises ``DegenerateParameter`` naming the linear form.
+a table: shift -> (coefficient label, summands), each summand const *
+(numerator forms) / (denominator forms), and each form written once as its
+label, which is also its formula.  In a label ``nuK...`` and ``gK...`` sum nu
+and gamma over the listed digits, ``|g|`` is the sum of all gamma, and
+integers, ``+ - ( )`` and juxtaposition (a product) combine them; each label
+is compiled once, on first use.  A form is structural (a pure index factor)
+when its label names no parameter.  Evaluation is numerator-first: if the
+numerator product vanishes the summand is 0 and the denominator is never
+touched, otherwise a vanishing denominator raises ``DegenerateParameter``
+naming the form by its label.
 
 *The general family.*  ``racah_operator(j, beta)`` builds the I-invariant
 difference operator
@@ -40,7 +45,9 @@ there instead.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import prod
 from typing import Callable, Sequence
@@ -613,527 +620,194 @@ class PrintedCoefficient(CoefficientEvaluator):
             return None, str(exc)
 
 
-def _ff(label: str, fn, structural: bool = False) -> FormFactor:
-    return FormFactor(label, fn, structural)
+_FORM_TOKEN = re.compile(r"nu[1-9]+|g[1-9]+|\|g\||\d+|\S")
+
+
+@cache
+def _compile_form(label: str) -> Callable:
+    """The form a printed label names, as ``bind(gamma) -> (nu -> value)``
+    with gamma the tuple (gamma_1, ..., gamma_{d+1}).
+
+    Grammar: integers; ``nuK...`` is the sum of nu_K over the listed digits
+    K, ``gK...`` the sum of gamma_K, ``|g|`` the sum of all gamma; ``+ - ( )``;
+    juxtaposition (spaces ignored) is a product.  Each parameter sum becomes
+    an argument of the compiled code, so ``bind`` adds it once per gamma.
+    """
+    code, params, after_operand = [], [], False
+    for token in _FORM_TOKEN.findall(label):
+        if after_operand and token not in ("+", "-", ")"):
+            code.append("*")
+        if token.startswith("nu"):
+            code.append("(" + "+".join(f"v[{int(k) - 1}]" for k in token[2:]) + ")")
+        elif token == "|g|" or token.startswith("g") and len(token) > 1:
+            code.append(f"p{len(params)}")
+            params.append(token)
+        elif token.isdigit() or token in ("+", "-", "(", ")"):
+            code.append(token)
+        else:
+            raise ValueError(f"form label {label!r}: unexpected {token!r}")
+        after_operand = token not in ("+", "-", "(")
+    args = ", ".join(f"p{i}" for i in range(len(params)))
+    make = eval(f"lambda {args}: lambda v: {''.join(code)}", {})
+
+    def bind(gamma) -> Callable:
+        return make(
+            *(sum(gamma if p == "|g|" else (gamma[int(k) - 1] for k in p[1:])) for p in params)
+        )
+
+    return bind
+
+
+def _forms(labels, gamma) -> tuple:
+    """The printed forms ``labels`` at gamma; a form is structural when it
+    names no parameter."""
+    return tuple(FormFactor(f, _compile_form(f)(gamma), "g" not in f) for f in labels)
+
+
+# The printed operators of P. Iliev, "The generic quantum superintegrable
+# system on the sphere and Racah operators" (Lett. Math. Phys. 2017), in
+# their term order: name -> shift -> (coefficient label, summands), where a
+# summand is (const, numerator form labels, denominator form labels).  _BR1
+# and _BR3 are the two bracket forms that several B123 coefficients share.
+_BR1 = "2nu1(g1234+nu1+2nu23+3)+(g234+2nu23+3)(g1234+2nu23+2)"
+_BR3 = "2nu3(g34+nu3+1)+(g4+1)g34"
+_PRINTED_TERMS = {
+    "B12": {
+        (-1, 1): ("c(-1,+1)", [(
+            1, ("nu1", "g2+nu2+1", "g2+g3+nu2+1", "|g|+nu1+2nu2+2"),
+            ("g2+g3+2nu2+1", "g2+g3+2nu2+2"),
+        )]),
+        (0, 0): ("c(0,0)", [
+            (-1, ("nu1+nu2+2nu1nu2+nu2 g1+nu1 g2",), ()),
+            (1, ("nu1+1", "nu2", "g1+nu1+1", "g2+nu2"), ("g2+g3+2nu2",)),
+            (-1, ("nu1", "nu2+1", "g1+nu1", "g2+nu2+1"), ("g2+g3+2nu2+2",)),
+        ]),
+        (1, -1): ("c(+1,-1)", [(
+            1, ("nu2", "g1+nu1+1", "g3+nu2", "g2+g3+nu1+2nu2+1"),
+            ("g2+g3+2nu2", "g2+g3+2nu2+1"),
+        )]),
+    },
+    "B23": {
+        (0, -1, 1): ("b(0,-1,1)", [(
+            1, ("nu2", "g3+nu3+1", "g34+nu3+1", "g234+nu2+2nu3+2"),
+            ("g34+2nu3+1", "g34+2nu3+2"),
+        )]),
+        (0, 0, 0): ("b(0,0,0)", [
+            (-1, ("nu2+nu3+2nu2nu3+nu2 g3+nu3 g2",), ()),
+            (1, ("nu2+1", "nu3", "g2+nu2+1", "g3+nu3"), ("g34+2nu3",)),
+            (-1, ("nu2", "nu3+1", "g2+nu2", "g3+nu3+1"), ("g34+2nu3+2",)),
+        ]),
+        (0, 1, -1): ("b(0,1,-1)", [(
+            1, ("nu3", "g2+nu2+1", "g4+nu3", "g34+nu2+2nu3+1"),
+            ("g34+2nu3", "g34+2nu3+1"),
+        )]),
+    },
+    "B134": {
+        (1, -1, 0): ("b(1,-1,0)", [(
+            -1, ("nu2", "g1+nu1+1", "g34+nu2+2nu3+1", "g234+nu1+2nu23+2"),
+            ("g234+2nu23+1", "g234+2nu23+2"),
+        )]),
+        (0, 0, 0): ("b(0,0,0)", [
+            (-1, ("nu13", "g134+nu13+2"), ()),
+            (1, ("nu1", "nu2+1", "g1+nu1", "g2+nu2+1"), ("g234+2nu23+3",)),
+            (-1, ("nu1+1", "nu2", "g1+nu1+1", "g2+nu2"), ("g234+2nu23+1",)),
+        ]),
+        (-1, 1, 0): ("b(-1,1,0)", [(
+            -1, ("nu1", "g2+nu2+1", "g234+nu2+2nu3+2", "g1234+nu1+2nu23+3"),
+            ("g234+2nu23+2", "g234+2nu23+3"),
+        )]),
+    },
+    "B123": {
+        (-1, 0, 1): ("b(-1,0,1)", [(
+            1, ("nu1", "g3+nu3+1", "g34+nu3+1", "g234+nu2+2nu3+2", "g234+nu2+2nu3+3",
+                "g1234+nu1+2nu23+3"),
+            ("g34+2nu3+1", "g34+2nu3+2", "g234+2nu23+2", "g234+2nu23+3"),
+        )]),
+        (-1, 2, -1): ("b(-1,2,-1)", [(
+            1, ("nu1", "nu3", "g2+nu2+1", "g2+nu2+2", "g4+nu3", "g1234+nu1+2nu23+3"),
+            ("g34+2nu3", "g34+2nu3+1", "g234+2nu23+2", "g234+2nu23+3"),
+        )]),
+        (1, -2, 1): ("b(1,-2,1)", [(
+            1, ("nu2-1", "nu2", "g1+nu1+1", "g3+nu3+1", "g34+nu3+1", "g234+nu1+2nu23+2"),
+            ("g34+2nu3+1", "g34+2nu3+2", "g234+2nu23+1", "g234+2nu23+2"),
+        )]),
+        (1, 0, -1): ("b(1,0,-1)", [(
+            1, ("nu3", "g1+nu1+1", "g4+nu3", "g34+nu2+2nu3", "g34+nu2+2nu3+1",
+                "g234+nu1+2nu23+2"),
+            ("g34+2nu3", "g34+2nu3+1", "g234+2nu23+1", "g234+2nu23+2"),
+        )]),
+        (0, -1, 1): ("b(0,-1,1)", [(
+            1, ("nu2", "g3+nu3+1", "g34+nu3+1", "g234+nu2+2nu3+2",
+                "2nu123(g1234+nu123+3)+2nu23(g234+nu23+2)+(g234+3)(g1234+2)"),
+            ("g34+2nu3+1", "g34+2nu3+2", "g234+2nu23+1", "g234+2nu23+3"),
+        )]),
+        (0, 1, -1): ("b(0,1,-1)", [(
+            1, ("nu3", "g2+nu2+1", "g4+nu3", "g34+nu2+2nu3+1", _BR1),
+            ("g34+2nu3", "g34+2nu3+1", "g234+2nu23+1", "g234+2nu23+3"),
+        )]),
+        (-1, 1, 0): ("b(-1,1,0)", [(
+            1, ("nu1", "g2+nu2+1", "g234+nu2+2nu3+2", "g1234+nu1+2nu23+3", _BR3),
+            ("g34+2nu3", "g34+2nu3+2", "g234+2nu23+2", "g234+2nu23+3"),
+        )]),
+        (1, -1, 0): ("b(1,-1,0)", [(
+            1, ("nu2", "g1+nu1+1", "g34+nu2+2nu3+1", "g234+nu1+2nu23+2", _BR3),
+            ("g34+2nu3", "g34+2nu3+2", "g234+2nu23+1", "g234+2nu23+2"),
+        )]),
+        (0, 0, 0): ("b(0,0,0)", [
+            (-1, ("nu123", "g1234+nu123+3"), ()),
+            (Rat(-1, 2), ("g4+1", "g1234+2"), ()),
+            (Rat(1, 2), (_BR3, "2nu2(g234+nu2+2nu3+2)+(g34+2nu3+2)(g234+2nu3+1)", _BR1),
+             ("g34+2nu3", "g34+2nu3+2", "g234+2nu23+1", "g234+2nu23+3")),
+        ]),
+    },
+}
+
+
+def _printed_operator(name: str, gamma) -> RacahOp:
+    """The printed operator ``name`` with every form of its table bound to gamma."""
+    d = PRINTED_OPERATORS[name][0]
+    g = require_valid(gamma, d).gamma
+    terms = [
+        RacahTerm(shift, PrintedCoefficient(label, [
+            Summand(as_rat(const), _forms(num, g), _forms(den, g)) for const, num, den in summands
+        ]))
+        for shift, (label, summands) in _PRINTED_TERMS[name].items()
+    ]
+    return RacahOp(d, name, terms)
 
 
 def b12_operator(gamma) -> RacahOp:
     """Three-term operator on (nu_1, nu_2) representing L_{1,2} for d = 2."""
-    params = require_valid(gamma, 2)
-    g1, g2, g3 = params[1], params[2], params[3]
-    g23 = g2 + g3
-
-    c_mp = PrintedCoefficient(
-        "c(-1,+1)",
-        [
-            Summand(
-                Rat(1),
-                (
-                    _ff("nu1", lambda v: v[0], structural=True),
-                    _ff("g2+nu2+1", lambda v: g2 + v[1] + 1),
-                    _ff("g2+g3+nu2+1", lambda v: g23 + v[1] + 1),
-                    _ff("|g|+nu1+2nu2+2", lambda v: g1 + g23 + v[0] + 2 * v[1] + 2),
-                ),
-                (
-                    _ff("g2+g3+2nu2+1", lambda v: g23 + 2 * v[1] + 1),
-                    _ff("g2+g3+2nu2+2", lambda v: g23 + 2 * v[1] + 2),
-                ),
-            )
-        ],
-    )
-    c_pm = PrintedCoefficient(
-        "c(+1,-1)",
-        [
-            Summand(
-                Rat(1),
-                (
-                    _ff("nu2", lambda v: v[1], structural=True),
-                    _ff("g1+nu1+1", lambda v: g1 + v[0] + 1),
-                    _ff("g3+nu2", lambda v: g3 + v[1]),
-                    _ff("g2+g3+nu1+2nu2+1", lambda v: g23 + v[0] + 2 * v[1] + 1),
-                ),
-                (
-                    _ff("g2+g3+2nu2", lambda v: g23 + 2 * v[1]),
-                    _ff("g2+g3+2nu2+1", lambda v: g23 + 2 * v[1] + 1),
-                ),
-            )
-        ],
-    )
-    c_00 = PrintedCoefficient(
-        "c(0,0)",
-        [
-            Summand(
-                Rat(-1),
-                (
-                    _ff(
-                        "nu1+nu2+2nu1nu2+nu2 g1+nu1 g2",
-                        lambda v: v[0] + v[1] + 2 * v[0] * v[1] + v[1] * g1 + v[0] * g2,
-                    ),
-                ),
-            ),
-            Summand(
-                Rat(1),
-                (
-                    _ff("nu1+1", lambda v: v[0] + 1),
-                    _ff("nu2", lambda v: v[1], structural=True),
-                    _ff("g1+nu1+1", lambda v: g1 + v[0] + 1),
-                    _ff("g2+nu2", lambda v: g2 + v[1]),
-                ),
-                (_ff("g2+g3+2nu2", lambda v: g23 + 2 * v[1]),),
-            ),
-            Summand(
-                Rat(-1),
-                (
-                    _ff("nu1", lambda v: v[0], structural=True),
-                    _ff("nu2+1", lambda v: v[1] + 1),
-                    _ff("g1+nu1", lambda v: g1 + v[0]),
-                    _ff("g2+nu2+1", lambda v: g2 + v[1] + 1),
-                ),
-                (_ff("g2+g3+2nu2+2", lambda v: g23 + 2 * v[1] + 2),),
-            ),
-        ],
-    )
-    return RacahOp(
-        2,
-        "B12",
-        [
-            RacahTerm((-1, 1), c_mp),
-            RacahTerm((0, 0), c_00),
-            RacahTerm((1, -1), c_pm),
-        ],
-    )
+    return _printed_operator("B12", gamma)
 
 
 def b23_operator(gamma) -> RacahOp:
     """Three-term operator on nu representing L_{2,3} for d = 3."""
-    params = require_valid(gamma, 3)
-    g2, g3, g4 = params[2], params[3], params[4]
-    g34 = g3 + g4
-    g234 = g2 + g34
-
-    down = PrintedCoefficient(
-        "b(0,-1,1)",
-        [
-            Summand(
-                Rat(1),
-                (
-                    _ff("nu2", lambda v: v[1], structural=True),
-                    _ff("g3+nu3+1", lambda v: g3 + v[2] + 1),
-                    _ff("g34+nu3+1", lambda v: g34 + v[2] + 1),
-                    _ff("g234+nu2+2nu3+2", lambda v: g234 + v[1] + 2 * v[2] + 2),
-                ),
-                (
-                    _ff("g34+2nu3+1", lambda v: g34 + 2 * v[2] + 1),
-                    _ff("g34+2nu3+2", lambda v: g34 + 2 * v[2] + 2),
-                ),
-            )
-        ],
-    )
-    up = PrintedCoefficient(
-        "b(0,1,-1)",
-        [
-            Summand(
-                Rat(1),
-                (
-                    _ff("nu3", lambda v: v[2], structural=True),
-                    _ff("g2+nu2+1", lambda v: g2 + v[1] + 1),
-                    _ff("g4+nu3", lambda v: g4 + v[2]),
-                    _ff("g34+nu2+2nu3+1", lambda v: g34 + v[1] + 2 * v[2] + 1),
-                ),
-                (
-                    _ff("g34+2nu3", lambda v: g34 + 2 * v[2]),
-                    _ff("g34+2nu3+1", lambda v: g34 + 2 * v[2] + 1),
-                ),
-            )
-        ],
-    )
-    diag = PrintedCoefficient(
-        "b(0,0,0)",
-        [
-            Summand(
-                Rat(-1),
-                (
-                    _ff(
-                        "nu2+nu3+2nu2nu3+nu2 g3+nu3 g2",
-                        lambda v: v[1] + v[2] + 2 * v[1] * v[2] + v[1] * g3 + v[2] * g2,
-                    ),
-                ),
-            ),
-            Summand(
-                Rat(1),
-                (
-                    _ff("nu2+1", lambda v: v[1] + 1),
-                    _ff("nu3", lambda v: v[2], structural=True),
-                    _ff("g2+nu2+1", lambda v: g2 + v[1] + 1),
-                    _ff("g3+nu3", lambda v: g3 + v[2]),
-                ),
-                (_ff("g34+2nu3", lambda v: g34 + 2 * v[2]),),
-            ),
-            Summand(
-                Rat(-1),
-                (
-                    _ff("nu2", lambda v: v[1], structural=True),
-                    _ff("nu3+1", lambda v: v[2] + 1),
-                    _ff("g2+nu2", lambda v: g2 + v[1]),
-                    _ff("g3+nu3+1", lambda v: g3 + v[2] + 1),
-                ),
-                (_ff("g34+2nu3+2", lambda v: g34 + 2 * v[2] + 2),),
-            ),
-        ],
-    )
-    return RacahOp(
-        3,
-        "B23",
-        [
-            RacahTerm((0, -1, 1), down),
-            RacahTerm((0, 0, 0), diag),
-            RacahTerm((0, 1, -1), up),
-        ],
-    )
+    return _printed_operator("B23", gamma)
 
 
 def b134_operator(gamma) -> RacahOp:
     """Three-term operator on nu representing L_{1,3}+L_{1,4}+L_{3,4} for d = 3."""
-    params = require_valid(gamma, 3)
-    g1, g2, g3, g4 = params[1], params[2], params[3], params[4]
-    g34 = g3 + g4
-    g234 = g2 + g34
-    g134 = g1 + g34
-    g1234 = g1 + g234
-
-    def n23(v):
-        return v[1] + v[2]
-
-    plus_minus = PrintedCoefficient(
-        "b(1,-1,0)",
-        [
-            Summand(
-                Rat(-1),
-                (
-                    _ff("nu2", lambda v: v[1], structural=True),
-                    _ff("g1+nu1+1", lambda v: g1 + v[0] + 1),
-                    _ff("g34+nu2+2nu3+1", lambda v: g34 + v[1] + 2 * v[2] + 1),
-                    _ff("g234+nu1+2nu23+2", lambda v: g234 + v[0] + 2 * n23(v) + 2),
-                ),
-                (
-                    _ff("g234+2nu23+1", lambda v: g234 + 2 * n23(v) + 1),
-                    _ff("g234+2nu23+2", lambda v: g234 + 2 * n23(v) + 2),
-                ),
-            )
-        ],
-    )
-    minus_plus = PrintedCoefficient(
-        "b(-1,1,0)",
-        [
-            Summand(
-                Rat(-1),
-                (
-                    _ff("nu1", lambda v: v[0], structural=True),
-                    _ff("g2+nu2+1", lambda v: g2 + v[1] + 1),
-                    _ff("g234+nu2+2nu3+2", lambda v: g234 + v[1] + 2 * v[2] + 2),
-                    _ff("g1234+nu1+2nu23+3", lambda v: g1234 + v[0] + 2 * n23(v) + 3),
-                ),
-                (
-                    _ff("g234+2nu23+2", lambda v: g234 + 2 * n23(v) + 2),
-                    _ff("g234+2nu23+3", lambda v: g234 + 2 * n23(v) + 3),
-                ),
-            )
-        ],
-    )
-    diag = PrintedCoefficient(
-        "b(0,0,0)",
-        [
-            Summand(
-                Rat(-1),
-                (
-                    _ff("nu13", lambda v: v[0] + v[2]),
-                    _ff("g134+nu13+2", lambda v: g134 + v[0] + v[2] + 2),
-                ),
-            ),
-            Summand(
-                Rat(1),
-                (
-                    _ff("nu1", lambda v: v[0], structural=True),
-                    _ff("nu2+1", lambda v: v[1] + 1),
-                    _ff("g1+nu1", lambda v: g1 + v[0]),
-                    _ff("g2+nu2+1", lambda v: g2 + v[1] + 1),
-                ),
-                (_ff("g234+2nu23+3", lambda v: g234 + 2 * n23(v) + 3),),
-            ),
-            Summand(
-                Rat(-1),
-                (
-                    _ff("nu1+1", lambda v: v[0] + 1),
-                    _ff("nu2", lambda v: v[1], structural=True),
-                    _ff("g1+nu1+1", lambda v: g1 + v[0] + 1),
-                    _ff("g2+nu2", lambda v: g2 + v[1]),
-                ),
-                (_ff("g234+2nu23+1", lambda v: g234 + 2 * n23(v) + 1),),
-            ),
-        ],
-    )
-    return RacahOp(
-        3,
-        "B134",
-        [
-            RacahTerm((1, -1, 0), plus_minus),
-            RacahTerm((0, 0, 0), diag),
-            RacahTerm((-1, 1, 0), minus_plus),
-        ],
-    )
+    return _printed_operator("B134", gamma)
 
 
 def b123_operator(gamma) -> RacahOp:
     """Nine-term operator on nu representing L_{1,2}+L_{1,3}+L_{2,3} for d = 3."""
-    params = require_valid(gamma, 3)
-    g1, g2, g3, g4 = params[1], params[2], params[3], params[4]
-    g34 = g3 + g4
-    g234 = g2 + g34
-    g1234 = g1 + g234
+    return _printed_operator("B123", gamma)
 
-    def n23(v):
-        return v[1] + v[2]
 
-    def n123(v):
-        return v[0] + v[1] + v[2]
-
-    # shared denominator forms
-    d_g34 = _ff("g34+2nu3", lambda v: g34 + 2 * v[2])
-    d_g34_1 = _ff("g34+2nu3+1", lambda v: g34 + 2 * v[2] + 1)
-    d_g34_2 = _ff("g34+2nu3+2", lambda v: g34 + 2 * v[2] + 2)
-    d_g234_1 = _ff("g234+2nu23+1", lambda v: g234 + 2 * n23(v) + 1)
-    d_g234_2 = _ff("g234+2nu23+2", lambda v: g234 + 2 * n23(v) + 2)
-    d_g234_3 = _ff("g234+2nu23+3", lambda v: g234 + 2 * n23(v) + 3)
-    # shared bracket forms
-    br_nu3 = _ff("2nu3(g34+nu3+1)+(g4+1)g34", lambda v: 2 * v[2] * (g34 + v[2] + 1) + (g4 + 1) * g34)
-    br_nu1 = _ff(
-        "2nu1(g1234+nu1+2nu23+3)+(g234+2nu23+3)(g1234+2nu23+2)",
-        lambda v: 2 * v[0] * (g1234 + v[0] + 2 * n23(v) + 3)
-        + (g234 + 2 * n23(v) + 3) * (g1234 + 2 * n23(v) + 2),
-    )
-
-    terms = []
-
-    terms.append(
-        RacahTerm(
-            (-1, 0, 1),
-            PrintedCoefficient(
-                "b(-1,0,1)",
-                [
-                    Summand(
-                        Rat(1),
-                        (
-                            _ff("nu1", lambda v: v[0], structural=True),
-                            _ff("g3+nu3+1", lambda v: g3 + v[2] + 1),
-                            _ff("g34+nu3+1", lambda v: g34 + v[2] + 1),
-                            _ff("g234+nu2+2nu3+2", lambda v: g234 + v[1] + 2 * v[2] + 2),
-                            _ff("g234+nu2+2nu3+3", lambda v: g234 + v[1] + 2 * v[2] + 3),
-                            _ff("g1234+nu1+2nu23+3", lambda v: g1234 + v[0] + 2 * n23(v) + 3),
-                        ),
-                        (d_g34_1, d_g34_2, d_g234_2, d_g234_3),
-                    )
-                ],
-            ),
-        )
-    )
-    terms.append(
-        RacahTerm(
-            (-1, 2, -1),
-            PrintedCoefficient(
-                "b(-1,2,-1)",
-                [
-                    Summand(
-                        Rat(1),
-                        (
-                            _ff("nu1", lambda v: v[0], structural=True),
-                            _ff("nu3", lambda v: v[2], structural=True),
-                            _ff("g2+nu2+1", lambda v: g2 + v[1] + 1),
-                            _ff("g2+nu2+2", lambda v: g2 + v[1] + 2),
-                            _ff("g4+nu3", lambda v: g4 + v[2]),
-                            _ff("g1234+nu1+2nu23+3", lambda v: g1234 + v[0] + 2 * n23(v) + 3),
-                        ),
-                        (d_g34, d_g34_1, d_g234_2, d_g234_3),
-                    )
-                ],
-            ),
-        )
-    )
-    terms.append(
-        RacahTerm(
-            (1, -2, 1),
-            PrintedCoefficient(
-                "b(1,-2,1)",
-                [
-                    Summand(
-                        Rat(1),
-                        (
-                            _ff("nu2-1", lambda v: v[1] - 1, structural=True),
-                            _ff("nu2", lambda v: v[1], structural=True),
-                            _ff("g1+nu1+1", lambda v: g1 + v[0] + 1),
-                            _ff("g3+nu3+1", lambda v: g3 + v[2] + 1),
-                            _ff("g34+nu3+1", lambda v: g34 + v[2] + 1),
-                            _ff("g234+nu1+2nu23+2", lambda v: g234 + v[0] + 2 * n23(v) + 2),
-                        ),
-                        (d_g34_1, d_g34_2, d_g234_1, d_g234_2),
-                    )
-                ],
-            ),
-        )
-    )
-    terms.append(
-        RacahTerm(
-            (1, 0, -1),
-            PrintedCoefficient(
-                "b(1,0,-1)",
-                [
-                    Summand(
-                        Rat(1),
-                        (
-                            _ff("nu3", lambda v: v[2], structural=True),
-                            _ff("g1+nu1+1", lambda v: g1 + v[0] + 1),
-                            _ff("g4+nu3", lambda v: g4 + v[2]),
-                            _ff("g34+nu2+2nu3", lambda v: g34 + v[1] + 2 * v[2]),
-                            _ff("g34+nu2+2nu3+1", lambda v: g34 + v[1] + 2 * v[2] + 1),
-                            _ff("g234+nu1+2nu23+2", lambda v: g234 + v[0] + 2 * n23(v) + 2),
-                        ),
-                        (d_g34, d_g34_1, d_g234_1, d_g234_2),
-                    )
-                ],
-            ),
-        )
-    )
-    terms.append(
-        RacahTerm(
-            (0, -1, 1),
-            PrintedCoefficient(
-                "b(0,-1,1)",
-                [
-                    Summand(
-                        Rat(1),
-                        (
-                            _ff("nu2", lambda v: v[1], structural=True),
-                            _ff("g3+nu3+1", lambda v: g3 + v[2] + 1),
-                            _ff("g34+nu3+1", lambda v: g34 + v[2] + 1),
-                            _ff("g234+nu2+2nu3+2", lambda v: g234 + v[1] + 2 * v[2] + 2),
-                            _ff(
-                                "2nu123(g1234+nu123+3)+2nu23(g234+nu23+2)+(g234+3)(g1234+2)",
-                                lambda v: 2 * n123(v) * (g1234 + n123(v) + 3)
-                                + 2 * n23(v) * (g234 + n23(v) + 2)
-                                + (g234 + 3) * (g1234 + 2),
-                            ),
-                        ),
-                        (d_g34_1, d_g34_2, d_g234_1, d_g234_3),
-                    )
-                ],
-            ),
-        )
-    )
-    terms.append(
-        RacahTerm(
-            (0, 1, -1),
-            PrintedCoefficient(
-                "b(0,1,-1)",
-                [
-                    Summand(
-                        Rat(1),
-                        (
-                            _ff("nu3", lambda v: v[2], structural=True),
-                            _ff("g2+nu2+1", lambda v: g2 + v[1] + 1),
-                            _ff("g4+nu3", lambda v: g4 + v[2]),
-                            _ff("g34+nu2+2nu3+1", lambda v: g34 + v[1] + 2 * v[2] + 1),
-                            br_nu1,
-                        ),
-                        (d_g34, d_g34_1, d_g234_1, d_g234_3),
-                    )
-                ],
-            ),
-        )
-    )
-    terms.append(
-        RacahTerm(
-            (-1, 1, 0),
-            PrintedCoefficient(
-                "b(-1,1,0)",
-                [
-                    Summand(
-                        Rat(1),
-                        (
-                            _ff("nu1", lambda v: v[0], structural=True),
-                            _ff("g2+nu2+1", lambda v: g2 + v[1] + 1),
-                            _ff("g234+nu2+2nu3+2", lambda v: g234 + v[1] + 2 * v[2] + 2),
-                            _ff("g1234+nu1+2nu23+3", lambda v: g1234 + v[0] + 2 * n23(v) + 3),
-                            br_nu3,
-                        ),
-                        (d_g34, d_g34_2, d_g234_2, d_g234_3),
-                    )
-                ],
-            ),
-        )
-    )
-    terms.append(
-        RacahTerm(
-            (1, -1, 0),
-            PrintedCoefficient(
-                "b(1,-1,0)",
-                [
-                    Summand(
-                        Rat(1),
-                        (
-                            _ff("nu2", lambda v: v[1], structural=True),
-                            _ff("g1+nu1+1", lambda v: g1 + v[0] + 1),
-                            _ff("g34+nu2+2nu3+1", lambda v: g34 + v[1] + 2 * v[2] + 1),
-                            _ff("g234+nu1+2nu23+2", lambda v: g234 + v[0] + 2 * n23(v) + 2),
-                            br_nu3,
-                        ),
-                        (d_g34, d_g34_2, d_g234_1, d_g234_2),
-                    )
-                ],
-            ),
-        )
-    )
-    terms.append(
-        RacahTerm(
-            (0, 0, 0),
-            PrintedCoefficient(
-                "b(0,0,0)",
-                [
-                    Summand(
-                        Rat(-1),
-                        (
-                            _ff("nu123", lambda v: n123(v)),
-                            _ff("g1234+nu123+3", lambda v: g1234 + n123(v) + 3),
-                        ),
-                    ),
-                    Summand(
-                        Rat(-1, 2),
-                        (
-                            _ff("g4+1", lambda v: g4 + 1),
-                            _ff("g1234+2", lambda v: g1234 + 2),
-                        ),
-                    ),
-                    Summand(
-                        Rat(1, 2),
-                        (
-                            br_nu3,
-                            _ff(
-                                "2nu2(g234+nu2+2nu3+2)+(g34+2nu3+2)(g234+2nu3+1)",
-                                lambda v: 2 * v[1] * (g234 + v[1] + 2 * v[2] + 2)
-                                + (g34 + 2 * v[2] + 2) * (g234 + 2 * v[2] + 1),
-                            ),
-                            br_nu1,
-                        ),
-                        (d_g34, d_g34_2, d_g234_1, d_g234_3),
-                    ),
-                ],
-            ),
-        )
-    )
-    return RacahOp(3, "B123", terms)
+# name -> (d, builder) of every printed operator
+PRINTED_OPERATORS = {
+    "B12": (2, b12_operator),
+    "B23": (3, b23_operator),
+    "B134": (3, b134_operator),
+    "B123": (3, b123_operator),
+}
 
 
 def explicit_3d_operator(which: str, gamma) -> RacahOp:
     """Dispatch for the printed three-variable operators."""
-    builders = {"B23": b23_operator, "B134": b134_operator, "B123": b123_operator}
+    builders = {name: build for name, (d, build) in PRINTED_OPERATORS.items() if d == 3}
     if which not in builders:
         raise ValueError(f"unknown operator {which!r}; expected one of {sorted(builders)}")
     return builders[which](gamma)

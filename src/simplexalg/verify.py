@@ -266,21 +266,26 @@ def verify_matrix_commutation(ctx: ModuleContext) -> CheckResult:
 
 
 def _racah_pairs(ctx: ModuleContext):
-    """(label, differential DiffOp, RacahOp) triples to compare on this cell."""
+    """(label, (j, variant), RacahOp) triples to compare on this cell; the
+    differential side of each is ``ctx.m_matrix(j, variant)``.
+
+    L_{1,2} is M_2^- at d = 2; at d = 3, L_{2,3} is M_3^-, L_{1,3}+L_{1,4}+L_{3,4}
+    is M_2^+ and L_{1,2}+L_{1,3}+L_{2,3} is M_2^-.
+    """
     d, gamma = ctx.d, ctx.gamma
     pairs = []
     if d == 2:
-        pairs.append(("L12=B12", l_operator(1, 2, 2, gamma), b12_operator(gamma)))
+        pairs.append(("L12=B12", (2, "minus"), b12_operator(gamma)))
     if d == 3:
-        pairs.append(("L23=B23", l_operator(2, 3, 3, gamma), b23_operator(gamma)))
-        pairs.append(("L134=B134", m_operator(2, 3, gamma, "plus"), b134_operator(gamma)))
-        pairs.append(("L123=B123", m_operator(2, 3, gamma, "minus"), b123_operator(gamma)))
+        pairs.append(("L23=B23", (3, "minus"), b23_operator(gamma)))
+        pairs.append(("L134=B134", (2, "plus"), b134_operator(gamma)))
+        pairs.append(("L123=B123", (2, "minus"), b123_operator(gamma)))
     for j in range(2, d + 1):
         for variant, tag in (("plus", "+"), ("minus", "-")):
             pairs.append(
                 (
                     f"M{tag}:{j}=R{tag}:{j}",
-                    m_operator(j, d, gamma, variant),
+                    (j, variant),
                     predicted_m_action(variant, j, ctx.n, d, gamma),
                 )
             )
@@ -291,7 +296,7 @@ def verify_difference_action(ctx: ModuleContext, mode: str = "strict") -> CheckR
     """Exact matrix equality of each differential operator and its difference form."""
     pairs = _racah_pairs(ctx)
     degenerate = []
-    for label, diff_op, racah_op in pairs:
+    for label, (j, variant), racah_op in pairs:
         if mode == "strict":
             racah_matrix, problems = racah_op.assemble(ctx.n)
             if problems:
@@ -303,8 +308,7 @@ def verify_difference_action(ctx: ModuleContext, mode: str = "strict") -> CheckR
             except DegenerateParameter as exc:
                 degenerate.append(f"{label}: {exc}")
                 continue
-        diff_matrix = ctx.matrix_of(diff_op)
-        if diff_matrix != racah_matrix:
+        if ctx.m_matrix(j, variant) != racah_matrix:
             return CheckResult("racah", "fail", f"{label} matrices differ on level {ctx.n}")
     if degenerate:
         return CheckResult("racah", "degenerate", "; ".join(degenerate))

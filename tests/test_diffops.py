@@ -100,6 +100,7 @@ def test_jm_family_low_dimensional_names():
     l134 = l_operator(1, 3, 3, G3) + l_operator(1, 4, 3, G3) + l_operator(3, 4, 3, G3)
     assert m_operator(2, 3, G3, "plus") == l134
     assert m_operator(3, 3, G3, "minus") == l_operator(2, 3, 3, G3)
+    assert m_operator(2, 2, G0, "minus") == l_operator(1, 2, 2, G0)
     for variant in ("plain", "plus", "minus"):
         assert m_operator(1, 2, G0, variant) == l_total(2, G0)
 

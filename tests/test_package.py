@@ -2,6 +2,8 @@ import ast
 from pathlib import Path
 
 import simplexalg
+from simplexalg.scalar import Rat
+from simplexalg.verify import SUITES, run_suites
 
 
 def test_library_has_no_assert_statements():
@@ -14,3 +16,16 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_benchmark_tracer_still_reaches_the_racah_layer(monkeypatch):
+    # perfbench/tracer.py patches racah and verify names; renaming one of
+    # them must fail here rather than break a traced benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracer import Tracer, instrument
+
+    tracer = Tracer()
+    with instrument(tracer):
+        run_suites(3, 1, (Rat(1, 2), Rat(1, 3), Rat(1, 5), Rat(1, 7)), SUITES, "strict")
+    assert {"racah.printed_build", "racah.assemble"} <= {span[0] for span in tracer.spans}
+    assert tracer.counters["racah.coefficient_evals"] > 0

@@ -122,8 +122,19 @@ def test_numerator_first_rule():
 def test_strict_scan_flags_b123_at_integer_parameters():
     # gamma = 0 makes (g34 + 2 nu3) vanish at nu3 = 0 while the structural
     # index factors do not; the strict pre-scan must reject it.
-    problems = b123_operator(G0_3).scan_degenerate(2)
-    assert problems
+    assert b123_operator(G0_3).assemble(2)[1] == [
+        "shift (-1, 1, 0) at nu=(2, 0, 0): denominator form g34+2nu3 vanishes",
+        "shift (0, 0, 0) at nu=(2, 0, 0): denominator form g34+2nu3 vanishes",
+        "shift (-1, 1, 0) at nu=(1, 1, 0): denominator form g34+2nu3 vanishes",
+        "shift (1, -1, 0) at nu=(1, 1, 0): denominator form g34+2nu3 vanishes",
+        "shift (0, 0, 0) at nu=(1, 1, 0): denominator form g34+2nu3 vanishes",
+        "shift (1, -1, 0) at nu=(0, 2, 0): denominator form g34+2nu3 vanishes",
+        "shift (0, 0, 0) at nu=(0, 2, 0): denominator form g34+2nu3 vanishes",
+    ]
+    # g2 + g3 = -1 makes (g2+g3+2nu2+1) vanish at nu2 = 0
+    assert b12_operator(ParamVector([0, Rat(-1, 2), Rat(-1, 2)])).assemble(2)[1] == [
+        "shift (-1, 1) at nu=(2, 0): denominator form g2+g3+2nu2+1 vanishes"
+    ]
     assert b12_operator(G0_2).scan_degenerate(4) == []
     assert b123_operator(G_3).scan_degenerate(4) == []
 
@@ -304,20 +315,42 @@ def test_predicted_action_validation():
         predicted_m_action("plus", 3, 1, 2, G_2)
 
 
-@pytest.mark.parametrize("n", range(5))
-def test_predicted_minus_reproduces_b12(n):
-    pred = predicted_m_action("minus", 2, n, 2, G_2)
-    assert pred.matrix_on_level(n) == b12_operator(G_2).matrix_on_level(n)
+# shuffled reciprocal primes, checked besides G_2 and G_3 (whose cases keep
+# their plain ids)
+SHUFFLED_2 = [ParamVector.parse(t) for t in ("1/5,1/2,1/3", "1/3,1/7,1/2", "1/7,1/5,1/3")]
+SHUFFLED_3 = [
+    ParamVector.parse(t) for t in ("1/7,1/2,1/5,1/3", "1/3,1/11,1/2,1/7", "1/5,1/3,1/7,1/2")
+]
+EXPLICIT_3D = [("B23", "minus", 3), ("B123", "minus", 2), ("B134", "plus", 2)]
+
+
+def _gamma_id(gamma) -> str:
+    return ",".join(gamma.to_json())
 
 
 @pytest.mark.parametrize(
-    "which,variant,j",
-    [("B23", "minus", 3), ("B123", "minus", 2), ("B134", "plus", 2)],
+    "gamma,n",
+    [pytest.param(G_2, n, id=str(n)) for n in range(5)]
+    + [pytest.param(g, n, id=f"{_gamma_id(g)}-{n}") for g in SHUFFLED_2 for n in range(5)],
 )
-def test_predicted_reproduces_explicit_3d(which, variant, j):
-    explicit = explicit_3d_operator(which, G_3)
+def test_predicted_minus_reproduces_b12(gamma, n):
+    pred = predicted_m_action("minus", 2, n, 2, gamma)
+    assert pred.matrix_on_level(n) == b12_operator(gamma).matrix_on_level(n)
+
+
+@pytest.mark.parametrize(
+    "which,variant,j,gamma",
+    [pytest.param(*case, G_3, id="-".join(map(str, case))) for case in EXPLICIT_3D]
+    + [
+        pytest.param(*case, g, id="-".join(map(str, case)) + f"-{_gamma_id(g)}")
+        for case in EXPLICIT_3D
+        for g in SHUFFLED_3
+    ],
+)
+def test_predicted_reproduces_explicit_3d(which, variant, j, gamma):
+    explicit = explicit_3d_operator(which, gamma)
     for n in range(4):
-        pred = predicted_m_action(variant, j, n, 3, G_3)
+        pred = predicted_m_action(variant, j, n, 3, gamma)
         assert pred.matrix_on_level(n) == explicit.matrix_on_level(n), n
 
 
