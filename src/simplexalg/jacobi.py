@@ -21,6 +21,11 @@ ever formed.
 Degree indices nu with |nu| = n are enumerated in descending lexicographic
 order ((n,0,...,0) first); this fixed order is used everywhere a basis of the
 degree-n space appears.
+
+The top-degree part of P_nu is c x^nu plus lex-greater monomials of degree
+|nu| (``lex_lead``).  The family is therefore triangular against the
+monomials, which is what makes it a basis and lets an expansion in it run by
+forward substitution.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, InvariantViolation
 from .linalg import ExactMatrix
 from .params import ParamVector, check_jacobi_params, require_valid
 from .poly import MultiPoly
@@ -114,6 +119,16 @@ def jacobi_simplex(nu: Sequence[int], gamma) -> MultiPoly:
     return result
 
 
+def lex_lead(nu: Sequence[int], poly: MultiPoly) -> Rat:
+    """The coefficient of x^nu in ``poly`` = P_nu, after checking the
+    triangular fact: x^nu is the lex-smallest monomial of top degree |nu|."""
+    nu = tuple(nu)
+    degree = sum(nu)
+    if poly.total_degree() != degree or min(e for e in poly.terms if sum(e) == degree) != nu:
+        raise InvariantViolation(f"P_{nu} does not lead with x^{nu} in lex order")
+    return poly.terms[nu]
+
+
 def level_indices(n: int, d: int) -> list:
     """All nu with |nu| = n, in descending lexicographic order."""
     if d == 0:
@@ -161,13 +176,9 @@ class BasisSet:
         elements = tuple(
             (nu, jacobi_simplex(nu, params)) for nu in level_indices(n, d)
         )
-        basis = cls(d, n, params, elements)
-        rank = basis.coefficient_matrix().rank()
-        if rank != len(elements):  # unreachable for valid gamma
-            raise InvalidParameter(
-                f"basis of level {n} has rank {rank} < {len(elements)}"
-            )
-        return basis
+        for nu, poly in elements:  # distinct lex leads: linearly independent
+            lex_lead(nu, poly)
+        return cls(d, n, params, elements)
 
     @property
     def indices(self) -> list:

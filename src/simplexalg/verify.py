@@ -1,12 +1,15 @@
 """Exact matrix representations and the identity-verification suites.
 
 ``ModuleContext`` fixes a cell (d, n, gamma) and caches the graded family
-{P_mu : |mu| <= n} together with the inverse of its monomial-coordinate
-matrix, so expanding an operator image in the P basis is a single exact
-matrix product.  ``ModuleContext.matrix_of`` returns the square block of a
-differential operator on the top level {|nu| = n}; it solves against the
-*full* graded family and raises if anything leaks into lower degrees, turning
-invariance of the degree-n span into a tested postcondition.
+{P_mu : |mu| <= n} with the coefficient c of x^mu in each member.  The
+top-degree part of P_mu is c x^mu plus lex-greater monomials, so an operator
+image expands in the P basis by forward substitution: one degree at a time
+from the top, ascending lex within a degree, each coefficient read off a
+single monomial of the remainder.  ``ModuleContext.matrix_of`` returns the
+square block of a differential operator on the top level {|nu| = n}; it
+expands against the *full* graded family and raises if anything leaks into
+lower degrees, turning invariance of the degree-n span into a tested
+postcondition.
 
 Every verification below is an exact rational identity; a check result is
 pass, fail (with a counterexample payload), or degenerate (a difference
@@ -25,7 +28,7 @@ from typing import Callable, Sequence
 
 from .diffops import DiffOp, commutator, f_combination, jm_recovered_generators, l_operator, l_total, m_operator
 from .errors import DegenerateParameter, ExactAlgebraError, InvariantViolation
-from .jacobi import graded_indices, jacobi_simplex, level_indices, monomials_upto
+from .jacobi import graded_indices, jacobi_simplex, level_indices, lex_lead, monomials_upto
 from .linalg import ExactMatrix, SpanBasis
 from .moments import gram_diagonal, inner_product
 from .params import ParamVector, require_valid
@@ -108,7 +111,9 @@ class ModuleInvarianceError(ExactAlgebraError):
 
 
 class ModuleContext:
-    """Cached exact data for one cell (d, n, gamma)."""
+    """Cached exact data for one cell (d, n, gamma): the graded family
+    {P_mu : |mu| <= n} and the coefficient of x^mu in each P_mu, its
+    lex-smallest top-degree monomial (checked at build time)."""
 
     def __init__(self, d: int, n: int, gamma):
         self.d = d
@@ -116,21 +121,39 @@ class ModuleContext:
         self.gamma = require_valid(gamma, d)
         self.level = level_indices(n, d)
         self.graded = graded_indices(n, d)
-        self.monomials = monomials_upto(n, d)
-        self._mono_index = {m: i for i, m in enumerate(self.monomials)}
         self.polys = {nu: jacobi_simplex(nu, self.gamma) for nu in self.graded}
-        columns = [self.polys[nu].coordinates(self._mono_index) for nu in self.graded]
-        self._basis_matrix = ExactMatrix.from_columns(columns)
-        self._basis_inverse = self._basis_matrix.inverse()
+        self._leads = {nu: lex_lead(nu, poly) for nu, poly in self.polys.items()}
         self._matrices: dict = {}
 
     def expand(self, poly: MultiPoly) -> list:
-        """Coefficients of ``poly`` in the graded family (exact)."""
+        """Coefficients of ``poly`` in the graded family (exact), in
+        ``self.graded`` order, by forward substitution.
+
+        Degrees are peeled from the top; within a degree the indices go in
+        ascending lex order, so x^mu of the remainder is touched by no P_nu
+        still to come and its coefficient is rem[x^mu] / lead_mu.
+        """
         if poly.total_degree() > self.n:
             raise ModuleInvarianceError(
                 f"degree {poly.total_degree()} image escapes the degree-{self.n} space"
             )
-        return self._basis_inverse.matvec(poly.coordinates(self._mono_index))
+        remainder = dict(poly.terms)
+        coeffs = {}
+        for mu in reversed(self.graded):
+            value = remainder.get(mu)
+            if not value:
+                coeffs[mu] = Rat(0)
+                continue
+            c = coeffs[mu] = value / self._leads[mu]
+            for exponent, term in self.polys[mu].terms.items():
+                rest = remainder.get(exponent, 0) - c * term
+                if rest:
+                    remainder[exponent] = rest
+                else:
+                    del remainder[exponent]
+        if remainder:
+            raise InvariantViolation(f"expansion leaves the remainder {MultiPoly(self.d, remainder)}")
+        return [coeffs[mu] for mu in self.graded]
 
     def matrix_of(self, op: DiffOp, name: str | None = None) -> ExactMatrix:
         """Square matrix of ``op`` on {|nu| = n}; columns are images of P_nu.

@@ -5,14 +5,17 @@ checks: the product-formula references expand through powers of t instead of
 powers of (1-t)/2, the moment oracle integrates monomials literally by
 iterated antiderivatives instead of using the closed Pochhammer form, the
 self-adjointness oracle compares polynomial inner products instead of the
-Gram-twisted symmetry of expansion matrices, and the orbit oracle grows each
-orbit by exact elimination instead of walking the nonzero pattern.
+Gram-twisted symmetry of expansion matrices, the orbit oracle grows each
+orbit by exact elimination instead of walking the nonzero pattern, and the
+expansion oracle multiplies by the inverse of the dense basis matrix instead
+of substituting along the lex-triangular leads.
 """
 
+import functools
 import random
 
-from simplexalg.jacobi import jacobi1d
-from simplexalg.linalg import SpanBasis
+from simplexalg.jacobi import graded_indices, jacobi1d, jacobi_simplex, monomials_upto
+from simplexalg.linalg import ExactMatrix, SpanBasis
 from simplexalg.moments import inner_product
 from simplexalg.params import ParamVector, check_gamma
 from simplexalg.poly import MultiPoly
@@ -179,3 +182,18 @@ def orbit_closure_dimensions(matrices, size: int) -> list:
             frontier = new_vectors
         dims.append(span.dim)
     return dims
+
+
+@functools.cache
+def _dense_basis_inverse(d: int, n: int, gamma: tuple) -> ExactMatrix:
+    index = {m: i for i, m in enumerate(monomials_upto(n, d))}
+    columns = [jacobi_simplex(nu, gamma).coordinates(index) for nu in graded_indices(n, d)]
+    return ExactMatrix.from_columns(columns).inverse()
+
+
+def dense_expand_oracle(ctx, poly: MultiPoly) -> list:
+    """Coefficients of ``poly`` (degree <= ctx.n) in the graded family of
+    ``ctx``, as the inverse of the monomial-coordinate basis matrix times the
+    monomial coordinates of ``poly``."""
+    index = {m: i for i, m in enumerate(monomials_upto(ctx.n, ctx.d))}
+    return _dense_basis_inverse(ctx.d, ctx.n, ctx.gamma.gamma).matvec(poly.coordinates(index))

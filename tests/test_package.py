@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import simplexalg
+from simplexalg.linalg import ExactMatrix
 from simplexalg.scalar import Rat
 from simplexalg.verify import SUITES, run_suites
 
@@ -29,3 +30,13 @@ def test_benchmark_tracer_still_reaches_the_racah_layer(monkeypatch):
         run_suites(3, 1, (Rat(1, 2), Rat(1, 3), Rat(1, 5), Rat(1, 7)), SUITES, "strict")
     assert {"racah.printed_build", "racah.assemble"} <= {span[0] for span in tracer.spans}
     assert tracer.counters["racah.coefficient_evals"] > 0
+
+
+def test_no_suite_builds_a_dense_inverse(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense elimination in a suite")
+
+    monkeypatch.setattr(ExactMatrix, "inverse", refuse)
+    monkeypatch.setattr(ExactMatrix, "solve", refuse)
+    report = run_suites(3, 2, (Rat(1, 2), Rat(1, 3), Rat(1, 5), Rat(1, 7)), SUITES, "strict")
+    assert report.ok

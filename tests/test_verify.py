@@ -4,7 +4,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import orbit_closure_dimensions, sample_valid_gammas, selfadjoint_orthogonal_oracle
+from oracles import (
+    dense_expand_oracle,
+    orbit_closure_dimensions,
+    sample_valid_gammas,
+    selfadjoint_orthogonal_oracle,
+)
 from simplexalg.diffops import DiffOp, l_operator
 from simplexalg.errors import InvalidParameter, InvariantViolation
 from simplexalg.jacobi import level_indices
@@ -73,8 +78,20 @@ def test_matrix_of_rejects_degree_escape(ctx_2):
 def test_matrix_of_rejects_lower_degree_leakage():
     ctx = ModuleContext(2, 1, G0_2)
     # d_1 maps P_nu to constants: leakage into degree 0
-    with pytest.raises(ModuleInvarianceError):
-        ctx.matrix_of(DiffOp(2, {(1, 0): MultiPoly.const(2, 1)}))
+    op = DiffOp(2, {(1, 0): MultiPoly.const(2, 1)})
+    with pytest.raises(ModuleInvarianceError) as err:
+        ctx.matrix_of(op)
+    assert str(err.value) == "image of P_(1, 0) has coefficient 3 on lower-degree index (0, 0)"
+    # the dense-inverse expansion finds the same first leak
+    lower = len(ctx.graded) - len(ctx.level)
+    leaks = [
+        (nu, ctx.graded[i], coeffs[i])
+        for nu in ctx.level
+        for coeffs in [dense_expand_oracle(ctx, op.apply(ctx.polys[nu]))]
+        for i in range(lower)
+        if coeffs[i] != 0
+    ]
+    assert leaks[0] == ((1, 0), (0, 0), 3)
 
 
 def test_eigenvalue_formulas():
