@@ -254,15 +254,23 @@ def _cycle(index: int, d: int, power: int) -> int:
     return (index - 1 + power) % (d + 1) + 1
 
 
-def m_operator(j: int, d: int, gamma, variant: str = "plain") -> DiffOp:
-    """Jucys-Murphy sum M_j (variant plain) or its cyclic images M_j^+/M_j^-."""
+def m_pairs(j: int, d: int, variant: str = "plain") -> list:
+    """Index pairs {k, l} with j <= k < l <= d+1, cycled like M_j^variant's."""
     if not 1 <= j <= d:
         raise ValueError(f"index {j} out of range for d = {d}")
     power = {"plain": 0, "plus": 1, "minus": -1}[variant]
+    return [
+        (_cycle(k, d, power), _cycle(l, d, power)) for k, l in combinations(range(j, d + 2), 2)
+    ]
+
+
+def m_operator(j: int, d: int, gamma, variant: str = "plain") -> DiffOp:
+    """Jucys-Murphy sum M_j (variant plain) or its cyclic images M_j^+/M_j^-."""
+    pairs = m_pairs(j, d, variant)
     params = require_valid(gamma, d)
     result = DiffOp.zero(d)
-    for k, l in combinations(range(j, d + 2), 2):
-        result = result + l_operator(_cycle(k, d, power), _cycle(l, d, power), d, params)
+    for k, l in pairs:
+        result = result + l_operator(k, l, d, params)
     return result
 
 
@@ -304,11 +312,15 @@ def f_combination(i: int, j: int, k: int, l: int, d: int, gamma) -> DiffOp:
     for index in (i, j, k, l):
         if not 1 <= index <= d + 1:
             raise ValueError(f"index {index} out of range for d = {d}")
-    gi, gj, gk, gl = params[i], params[j], params[k], params[l]
+    return f_formula(lambda a, b: l_operator(a, b, d, params), i, j, k, l, params)
 
-    ik, il, jk, jl, kl = (
-        l_operator(a, b, d, params) for a, b in ((i, k), (i, l), (j, k), (j, l), (k, l))
-    )
+
+def f_formula(generator, i: int, j: int, k: int, l: int, gamma):
+    """F(L_{i,k}, L_{i,l}, L_{j,k}, L_{j,l}, L_{k,l}) over any ring with ``@``,
+    ``+``, ``-`` and ``scale``; ``generator(a, b)`` is the image of L_{a,b},
+    a differential operator or its matrix on a level."""
+    gi, gj, gk, gl = gamma[i], gamma[j], gamma[k], gamma[l]
+    ik, il, jk, jl, kl = (generator(a, b) for a, b in ((i, k), (i, l), (j, k), (j, l), (k, l)))
     jk_kl = commutator(jk, kl)
     return (
         anticommutator(jk_kl, commutator(ik, kl))

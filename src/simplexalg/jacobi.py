@@ -51,19 +51,9 @@ def jacobi1d(n: int, alpha, beta) -> MultiPoly:
     if violations:
         raise InvalidParameter("; ".join(violations))
     u = MultiPoly(1, {(0,): Rat(1, 2), (1,): Rat(-1, 2)})  # (1-t)/2
-    lead = pochhammer(alpha + 1, n) / pochhammer(beta + 1, n)
     result = MultiPoly.zero(1)
-    u_power = MultiPoly.const(1, 1)
-    for k in range(n + 1):
-        c = (
-            pochhammer(-n, k)
-            * pochhammer(n + alpha + beta + 1, k)
-            / (pochhammer(1, k) * pochhammer(alpha + 1, k))
-        )
-        result = result + u_power.scale(c)
-        if k < n:
-            u_power = u_power * u
-    result = result.scale(lead)
+    for k, c in enumerate(jacobi1d_coeffs(n, alpha, beta)):
+        result = result + (u ** k).scale(c)
     if result.total_degree() != n:
         raise InvalidParameter("degree drop: admissibility conditions violated")
     return result

@@ -94,10 +94,15 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        other_t = other.transpose().entries
-        return ExactMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in other_t] for row in self.entries]
-        )
+        # over the nonzero entries only: operator matrices are sparse
+        nonzero = [[(c, b) for c, b in enumerate(row) if b] for row in other.entries]
+        out = [[Rat(0)] * other.cols for _ in self.entries]
+        for acc, row in zip(out, self.entries):
+            for a, pairs in zip(row, nonzero):
+                if a:
+                    for c, b in pairs:
+                        acc[c] += a * b
+        return ExactMatrix(out)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(

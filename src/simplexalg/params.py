@@ -12,6 +12,7 @@ product formula has admissible parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import InvalidParameter
@@ -114,10 +115,16 @@ def param_valid(gamma, d: int | None = None) -> ParamCheck:
     return ParamCheck(not violations, tuple(violations))
 
 
+@lru_cache(maxsize=1024)
+def _violations(params: ParamVector, d: int) -> tuple:
+    return tuple(check_gamma(params, d))
+
+
 def require_valid(gamma, d: int | None = None) -> ParamVector:
-    """as_params + raise InvalidParameter listing every violated condition."""
+    """as_params + raise InvalidParameter listing every violated condition;
+    a ParamVector is frozen, so each (gamma, d) is checked once."""
     params = as_params(gamma)
-    violations = check_gamma(params, d)
+    violations = _violations(params, params.d if d is None else d)
     if violations:
         raise InvalidParameter("; ".join(violations))
     return params

@@ -6,14 +6,17 @@ powers of (1-t)/2, the moment oracle integrates monomials literally by
 iterated antiderivatives instead of using the closed Pochhammer form, the
 self-adjointness oracle compares polynomial inner products instead of the
 Gram-twisted symmetry of expansion matrices, the orbit oracle grows each
-orbit by exact elimination instead of walking the nonzero pattern, and the
+orbit by exact elimination instead of walking the nonzero pattern, the
 expansion oracle multiplies by the inverse of the dense basis matrix instead
-of substituting along the lex-triangular leads.
+of substituting along the lex-triangular leads, and the operator-matrix oracle
+expands each generator sum and product from its own differential operator
+instead of adding and multiplying generator matrices.
 """
 
 import functools
 import random
 
+from simplexalg.diffops import f_combination, l_operator, l_total, m_operator
 from simplexalg.jacobi import graded_indices, jacobi1d, jacobi_simplex, monomials_upto
 from simplexalg.linalg import ExactMatrix, SpanBasis
 from simplexalg.moments import inner_product
@@ -197,3 +200,31 @@ def dense_expand_oracle(ctx, poly: MultiPoly) -> list:
     monomial coordinates of ``poly``."""
     index = {m: i for i, m in enumerate(monomials_upto(ctx.n, ctx.d))}
     return _dense_basis_inverse(ctx.d, ctx.n, ctx.gamma.gamma).matvec(poly.coordinates(index))
+
+
+@functools.cache
+def _f_operator(i: int, j: int, k: int, l: int, d: int, gamma: ParamVector):
+    return f_combination(i, j, k, l, d, gamma)
+
+
+def operator_matrix_oracle(ctx, f_choices) -> dict:
+    """Matrices on the level of ``ctx`` of the generator sums and products the
+    suites use, each expanded by ``ctx.matrix_of`` from its own operator:
+    ("M", j, variant) for M_j^variant, ("hat", a) for the hat operators of the
+    plane block (a = 1: L_{1,2}; a = 2, 3: L_{a-1,3} + ... + L_{a-1,d+1}),
+    ("F", i, j, k, l) for each index choice, and ("L",) for the total."""
+    d, gamma = ctx.d, ctx.gamma
+    out = {("L",): ctx.matrix_of(l_total(d, gamma))}
+    for j in range(1, d + 1):
+        for variant in ("plain", "plus", "minus"):
+            out[("M", j, variant)] = ctx.matrix_of(m_operator(j, d, gamma, variant))
+    if d >= 3:
+        out[("hat", 1)] = ctx.matrix_of(l_operator(1, 2, d, gamma))
+        for a in (1, 2):
+            hat = l_operator(a, 3, d, gamma)
+            for j in range(4, d + 2):
+                hat = hat + l_operator(a, j, d, gamma)
+            out[("hat", a + 1)] = ctx.matrix_of(hat)
+    for choice in f_choices:
+        out[("F",) + choice] = ctx.matrix_of(_f_operator(*choice, d, gamma))
+    return out

@@ -115,9 +115,7 @@ def test_criterion_04_f_relation():
         edge = ParamVector([1] + list(GENERIC[d].gamma[1:]))
         for gamma in gammas + [edge]:
             for n in (1, 2, 3):
-                result = verify_f_relation(
-                    ModuleContext(d, n, gamma), operator_level=(n == 3)
-                )
+                result = verify_f_relation(ModuleContext(d, n, gamma))
                 ok = ok and result.status == "pass"
     announce(4, "fourth-order recovery relation", ok)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from simplexalg.errors import SingularSystem
+from simplexalg.errors import DimensionMismatch, SingularSystem
 from simplexalg.linalg import ExactMatrix, SpanBasis, exact_solve
 from simplexalg.scalar import Rat
 
@@ -66,6 +66,17 @@ def test_matrix_algebra():
     assert (a @ b).transpose() == b.transpose() @ a.transpose()
     assert a.scale(2) == a + a
     assert (-a) + a == ExactMatrix.zeros(2, 2)
+
+
+def test_product_by_entries():
+    # the product skips zero entries; pin its values, its order and a
+    # rectangular shape against the textbook row-times-column sums
+    a = ExactMatrix([[1, 0, Rat(2, 3)], [0, 0, 0]])
+    b = ExactMatrix([[0, 5], [7, 0], [Rat(-3, 2), 1]])
+    assert a @ b == ExactMatrix([[-1, Rat(17, 3)], [0, 0]])
+    assert b @ a == ExactMatrix([[0, 0, 0], [7, 0, Rat(14, 3)], [Rat(-3, 2), 0, -1]])
+    with pytest.raises(DimensionMismatch):
+        a @ a
 
 
 def test_span_basis_growth():

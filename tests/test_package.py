@@ -1,10 +1,11 @@
 import ast
+import re
 from pathlib import Path
 
 import simplexalg
 from simplexalg.linalg import ExactMatrix
 from simplexalg.scalar import Rat
-from simplexalg.verify import SUITES, run_suites
+from simplexalg.verify import SUITES, ModuleContext, run_suites
 
 
 def test_library_has_no_assert_statements():
@@ -40,3 +41,20 @@ def test_no_suite_builds_a_dense_inverse(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "solve", refuse)
     report = run_suites(3, 2, (Rat(1, 2), Rat(1, 3), Rat(1, 5), Rat(1, 7)), SUITES, "strict")
     assert report.ok
+
+
+def test_suites_expand_only_generator_matrices(monkeypatch):
+    # every other differential matrix is a sum or product of generator matrices
+    names = []
+    expand = ModuleContext.matrix_of
+
+    def recording(ctx, op, name=None):
+        names.append(name)
+        return expand(ctx, op, name)
+
+    monkeypatch.setattr(ModuleContext, "matrix_of", recording)
+    gamma = (Rat(1, 2), Rat(1, 3), Rat(1, 5), Rat(1, 7), Rat(1, 11))
+    assert run_suites(3, 2, gamma[:4], SUITES, "strict").ok
+    assert run_suites(4, 1, gamma, SUITES, "strict").ok
+    assert names
+    assert [name for name in names if not re.fullmatch(r"L:\d+,\d+", name or "")] == []

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simplexalg.diffops import l_operator
 from simplexalg.errors import DimensionMismatch, InvalidParameter
 from simplexalg.moments import inner_product, simplex_moment
 from simplexalg.params import ParamVector, check_jacobi_params, param_valid, require_valid
@@ -40,6 +41,24 @@ def test_require_valid_raises_with_all_violations():
         require_valid([-1, -2, 0])
     message = str(err.value)
     assert "gamma_1" in message and "gamma_2" in message
+
+
+def test_require_valid_checks_each_d_and_repeats_its_message():
+    # validity is cached per (gamma, d); a repeated call must still raise the
+    # same message, and a vector valid for its own d is still refused for another
+    bad = ParamVector([-1, -2, 0])
+    messages = set()
+    for _ in range(2):
+        with pytest.raises(InvalidParameter) as err:
+            require_valid(bad)
+        messages.add(str(err.value))
+    assert len(messages) == 1
+    good = ParamVector([Rat(1, 2), Rat(1, 3), Rat(1, 5)])
+    assert require_valid(good, 2) is good
+    with pytest.raises(InvalidParameter, match="expected 4 parameters, got 3"):
+        require_valid(good, 3)
+    with pytest.raises(InvalidParameter, match="expected 4 parameters, got 3"):
+        l_operator(1, 2, 3, good)
 
 
 def test_jacobi_param_conditions():

@@ -226,15 +226,17 @@ def test_reachability_and_oracle_agree_on_a_reducible_set():
 
 
 def test_irreducibility_check_raises_without_its_premise():
+    # substitute at generator_matrix, the one source of the M_j matrices; a
+    # fresh context each time, since the M_j sums are cached per context
     ctx = ModuleContext(2, 2, G_2)
     size = len(ctx.level)
     zero = ExactMatrix.zeros(size, size)
-    pairs = list(ctx.all_generator_matrices())
-    ctx.all_generator_matrices = lambda: {pair: zero for pair in pairs}
+    ctx.generator_matrix = lambda i, j: zero
     with pytest.raises(InvariantViolation, match="separate"):
         irreducibility_check(ctx)
+    ctx = ModuleContext(2, 2, G_2)
     shift = ExactMatrix([[1 if c == r + 1 else 0 for c in range(size)] for r in range(size)])
-    ctx.all_generator_matrices = lambda: {pair: shift if pair == (2, 3) else zero for pair in pairs}
+    ctx.generator_matrix = lambda i, j: shift if (i, j) == (2, 3) else zero
     with pytest.raises(InvariantViolation, match="M_2 is not diagonal"):
         irreducibility_check(ctx)
 
