@@ -71,6 +71,14 @@ def parse_dimensions(text: "str | None", default: tuple) -> tuple:
     return d_values
 
 
+def require_nonnegative(flag: str, values) -> tuple:
+    """Degrees and draw counts are >= 0."""
+    values = tuple(values)
+    if any(value < 0 for value in values):
+        raise UsageError(f"{flag} = {min(values)} is negative; {flag} must be >= 0")
+    return values
+
+
 def build_operator(name: str, d: int, n: int, gamma: ParamVector):
     """Resolve an operator name to a DiffOp or RacahOp."""
     if name == "Ltot":
@@ -78,16 +86,19 @@ def build_operator(name: str, d: int, n: int, gamma: ParamVector):
     if ":" in name:
         head, tail = name.split(":", 1)
         indices = parse_int_list(tail)
-        if head == "L" and len(indices) == 2:
-            return l_operator(indices[0], indices[1], d, gamma)
-        if head in ("M", "M+", "M-") and len(indices) == 1:
-            variant = {"M": "plain", "M+": "plus", "M-": "minus"}[head]
-            return m_operator(indices[0], d, gamma, variant)
-        if head == "F" and len(indices) == 4:
-            return f_combination(*indices, d, gamma)
-        if head in ("R+", "R-") and len(indices) == 1:
-            variant = "plus" if head == "R+" else "minus"
-            return predicted_m_action(variant, indices[0], n, d, gamma)
+        try:
+            if head == "L" and len(indices) == 2:
+                return l_operator(indices[0], indices[1], d, gamma)
+            if head in ("M", "M+", "M-") and len(indices) == 1:
+                variant = {"M": "plain", "M+": "plus", "M-": "minus"}[head]
+                return m_operator(indices[0], d, gamma, variant)
+            if head == "F" and len(indices) == 4:
+                return f_combination(*indices, d, gamma)
+            if head in ("R+", "R-") and len(indices) == 1:
+                variant = "plus" if head == "R+" else "minus"
+                return predicted_m_action(variant, indices[0], n, d, gamma)
+        except ValueError as exc:  # an index out of range for d, or repeated
+            raise UsageError(str(exc)) from None
         raise UsageError(f"unknown operator name {name!r}")
     if name in PRINTED_OPERATORS:
         expected_d, builder = PRINTED_OPERATORS[name]
@@ -98,6 +109,7 @@ def build_operator(name: str, d: int, n: int, gamma: ParamVector):
 
 
 def cmd_matrix(args) -> int:
+    require_nonnegative("n", (args.n,))
     gamma = parse_gamma(args.gamma)
     violations = check_gamma(gamma, args.d)
     if violations:
@@ -246,7 +258,7 @@ def cmd_verify(args) -> int:
     gamma = parse_gamma(args.gamma)
     config = RunConfig(
         d_values=parse_dimensions(args.d, (gamma.d,)),
-        n_values=tuple(parse_int_list(args.n)) if args.n else (1, 2, 3, 4),
+        n_values=require_nonnegative("n", parse_int_list(args.n) if args.n else (1, 2, 3, 4)),
         suites=_suite_list(args.suite),
         mode=args.mode,
         gamma=gamma,
@@ -278,9 +290,10 @@ def sample_gamma(rng: random.Random, d: int, numerator_bound: int = 6, den_bound
 
 
 def cmd_sweep(args) -> int:
+    require_nonnegative("draws", (args.draws,))
     config = RunConfig(
         d_values=parse_dimensions(args.d, (2, 3)),
-        n_values=tuple(parse_int_list(args.n)) if args.n else (2,),
+        n_values=require_nonnegative("n", parse_int_list(args.n) if args.n else (2,)),
         suites=_suite_list(args.suite),
         mode=args.mode,
         seed=args.seed,

@@ -25,7 +25,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Mapping
 
-from .errors import DimensionMismatch, ExactAlgebraError
+from .errors import DimensionMismatch
 from .params import require_valid
 from .poly import MultiPoly
 from .scalar import as_rat
@@ -60,10 +60,6 @@ class DiffOp:
     def zero(cls, dim: int) -> "DiffOp":
         return cls(dim)
 
-    @classmethod
-    def identity(cls, dim: int) -> "DiffOp":
-        return cls(dim, {(0,) * dim: MultiPoly.const(dim, 1)})
-
     # -- structure --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -73,9 +69,6 @@ class DiffOp:
         if not isinstance(other, DiffOp):
             return NotImplemented
         return self.dim == other.dim and self.terms == other.terms
-
-    def order(self) -> int:
-        return max((sum(a) for a in self.terms), default=-1)
 
     def _check_dim(self, other: "DiffOp"):
         if self.dim != other.dim:
@@ -219,34 +212,8 @@ def l_operator(i: int, j: int, d: int, gamma) -> DiffOp:
 
 
 def l_total(d: int, gamma) -> DiffOp:
-    """Sum of all generators; built from the closed form and cross-checked
-    against the literal pair sum (the two must agree term for term)."""
-    params = require_valid(gamma, d)
-    x = [MultiPoly.variable(d, k) for k in range(d)]
-    total_gamma = params.total()
-    terms: dict = {}
-    for k in range(d):
-        e2 = [0] * d
-        e2[k] = 2
-        terms[tuple(e2)] = x[k] * (MultiPoly.const(d, 1) - x[k])
-        e1 = [0] * d
-        e1[k] = 1
-        terms[tuple(e1)] = MultiPoly.const(d, params[k + 1] + 1) - x[k].scale(
-            total_gamma + d + 1
-        )
-    for k in range(d):
-        for j in range(k + 1, d):
-            e = [0] * d
-            e[k] = 1
-            e[j] = 1
-            terms[tuple(e)] = (x[k] * x[j]).scale(-2)
-    closed = DiffOp(d, terms)
-    summed = DiffOp.zero(d)
-    for i, j in combinations(range(1, d + 2), 2):
-        summed = summed + l_operator(i, j, d, params)
-    if closed != summed:
-        raise ExactAlgebraError("closed form of the total operator disagrees with the pair sum")
-    return closed
+    """Sum of all generators: M_1, whose pairs are all the pairs."""
+    return m_operator(1, d, gamma)
 
 
 def _cycle(index: int, d: int, power: int) -> int:
@@ -274,29 +241,60 @@ def m_operator(j: int, d: int, gamma, variant: str = "plain") -> DiffOp:
     return result
 
 
-def jm_recovered_generators(d: int, gamma) -> dict:
-    """Generators recovered from the commuting family and its cyclic images:
-
-        L_{1,j}   = M^+_{j-1} + M_{j+1} - M_j - M^+_j      (j = 2..d+1)
-        L_{i,d+1} = M_i + M^-_{i+2} - M^-_{i+1} - M_{i+1}  (i = 1..d)
-
-    with M_k = M^+_k = M^-_k = 0 for k = d+1, d+2.  Returns a dict keyed by
-    the recovered index pair.
-    """
-    params = require_valid(gamma, d)
-
-    def m(j: int, variant: str) -> DiffOp:
-        if j > d:
-            return DiffOp.zero(d)
-        return m_operator(j, d, params, variant)
-
-    out = {}
+def jm_relations(d: int) -> list:
+    """Linear relations among the M_j^variant (M_k^variant = 0 for k > d) as
+    rows (kind, target pair or None, [(sign, j, variant), ...]), each reading
+    L_target (or 0) = sum of sign M_j^variant: the 2d recoveries of L_{1,j}
+    and L_{i,d+1} (L_{1,d+1} has two), the dependence identity, and at d = 3
+    the closure of L_{1,2}, L_{1,3}, L_{1,4}, L_{2,4}."""
+    rows = []
     for j in range(2, d + 2):
-        out[(1, j)] = m(j - 1, "plus") + m(j + 1, "plain") - m(j, "plain") - m(j, "plus")
+        terms = [(1, j - 1, "plus"), (1, j + 1, "plain"), (-1, j, "plain"), (-1, j, "plus")]
+        rows.append(("recovery", (1, j), terms))
     for i in range(1, d + 1):
-        out[(i, d + 1)] = (
-            m(i, "plain") + m(i + 2, "minus") - m(i + 1, "minus") - m(i + 1, "plain")
-        )
+        terms = [(1, i, "plain"), (1, i + 2, "minus"), (-1, i + 1, "minus"), (-1, i + 1, "plain")]
+        rows.append(("recovery", (i, d + 1), terms))
+    dependence = [(1, 1, "plain"), (-1, 2, "plain"), (-1, 2, "minus"), (1, 3, "minus")]
+    rows.append(("dependence", None, dependence + [(-1, d, "plus")]))
+    if d == 3:
+        total, l234, l34 = (1, "plain"), (2, "plain"), (3, "plain")
+        l134, l123, l23 = (2, "plus"), (2, "minus"), (3, "minus")
+        for target, signed in (
+            ((1, 2), [(1, total), (-1, l134), (-1, l234), (1, l34)]),
+            ((1, 3), [(1, l123), (1, l134), (1, l234), (-1, total), (-1, l23), (-1, l34)]),
+            ((1, 4), [(1, total), (-1, l123), (-1, l234), (1, l23)]),
+            ((2, 4), [(1, l234), (-1, l23), (-1, l34)]),
+        ):
+            rows.append(("closure", target, [(sign, j, variant) for sign, (j, variant) in signed]))
+    return rows
+
+
+def pair_counts(terms, d: int) -> dict:
+    """Signed count of each index pair (k, l), k < l, in the sum of
+    sign M_j^variant over ``terms``; M_j^variant = 0 for j > d, and pairs whose
+    counts cancel are left out."""
+    counts: dict = {}
+    for sign, j, variant in terms:
+        if j > d:
+            continue
+        for k, l in m_pairs(j, d, variant):
+            pair = (min(k, l), max(k, l))
+            counts[pair] = counts.get(pair, 0) + sign
+    return {pair: count for pair, count in counts.items() if count}
+
+
+def jm_recovered_generators(d: int, gamma) -> dict:
+    """Generators recovered from the commuting family and its cyclic images by
+    the recovery rows of ``jm_relations``, keyed by the recovered index pair;
+    L_{1,d+1} is built from its second formula."""
+    params = require_valid(gamma, d)
+    out = {}
+    for kind, target, terms in jm_relations(d):
+        if kind == "recovery":
+            out[target] = DiffOp.zero(d)
+            for sign, j, variant in terms:
+                if j <= d:
+                    out[target] = out[target] + m_operator(j, d, params, variant).scale(sign)
     return out
 
 

@@ -12,7 +12,7 @@ product formula has admissible parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable
 
 from .errors import InvalidParameter
@@ -52,6 +52,11 @@ class ParamVector:
 
     def to_json(self) -> list:
         return [rat_str(g) for g in self.gamma]
+
+    @cached_property
+    def violations(self) -> tuple:
+        """check_gamma for this vector's own d, computed once (it is frozen)."""
+        return tuple(check_gamma(self))
 
     @classmethod
     def parse(cls, text: str) -> "ParamVector":
@@ -115,16 +120,12 @@ def param_valid(gamma, d: int | None = None) -> ParamCheck:
     return ParamCheck(not violations, tuple(violations))
 
 
-@lru_cache(maxsize=1024)
-def _violations(params: ParamVector, d: int) -> tuple:
-    return tuple(check_gamma(params, d))
-
-
 def require_valid(gamma, d: int | None = None) -> ParamVector:
     """as_params + raise InvalidParameter listing every violated condition;
-    a ParamVector is frozen, so each (gamma, d) is checked once."""
+    a ParamVector is frozen, so it checks its own conditions once."""
     params = as_params(gamma)
-    violations = _violations(params, params.d if d is None else d)
-    if violations:
-        raise InvalidParameter("; ".join(violations))
+    if d is not None and params.d != d:
+        raise InvalidParameter(f"expected {d + 1} parameters, got {len(params)}")
+    if params.violations:
+        raise InvalidParameter("; ".join(params.violations))
     return params

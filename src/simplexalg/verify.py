@@ -30,10 +30,10 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Sequence
 
-from .diffops import DiffOp, commutator, f_combination, f_formula, jm_recovered_generators
-from .diffops import l_operator, m_operator, m_pairs
+from .diffops import DiffOp, commutator, f_combination, f_formula, jm_relations
+from .diffops import l_operator, m_operator, m_pairs, pair_counts
 from .errors import DegenerateParameter, ExactAlgebraError, InvariantViolation
-from .jacobi import graded_indices, jacobi_simplex, level_indices, lex_lead, monomials_upto
+from .jacobi import graded_indices, jacobi_simplex, level_indices, lex_lead
 from .linalg import ExactMatrix, SpanBasis
 from .moments import gram_diagonal, inner_product
 from .params import ParamVector, require_valid
@@ -577,62 +577,42 @@ def submodule_diagnostic(ctx: ModuleContext) -> CheckResult:
     return CheckResult("submodules", "pass", f"{n + 1} tail blocks and the plane block verified")
 
 
-def generator_rank(d: int, gamma, degree: int = 3) -> int:
-    """Exact rank of the generators as operators on polynomials of degree <= 3."""
+def generator_rank(d: int, gamma) -> int:
+    """Exact rank of the generators' expanded coefficient vectors
+    {(derivative, monomial): coefficient}.  A second-order operator is fixed by
+    its action on polynomials of degree <= 2, so this is their operator rank."""
     params = require_valid(gamma, d)
-    monomials = monomials_upto(degree, d)
-    index = {m: i for i, m in enumerate(monomials)}
-    span = SpanBasis(len(monomials) ** 2)
-    rank = 0
+    vectors = []
     for i, j in combinations(range(1, d + 2), 2):
-        op = l_operator(i, j, d, params)
-        flat = []
-        for exponent in monomials:
-            flat.extend(op.apply(MultiPoly.monomial(d, exponent)).coordinates(index))
-        if span.add(flat):
-            rank += 1
-    return rank
+        terms = l_operator(i, j, d, params).terms
+        vectors.append({(a, m): c for a, poly in terms.items() for m, c in poly.terms.items()})
+    keys = sorted(set().union(*vectors))
+    span = SpanBasis(len(keys))
+    for vector in vectors:
+        span.add([vector.get(key, 0) for key in keys])
+    return span.dim
+
+
+_RELATION_FAILURES = {
+    "recovery": "recovery of L_({},{}) fails",
+    "dependence": "dependence identity fails",
+    "closure": "three-variable closure fails",
+}
 
 
 def verify_relations(ctx: ModuleContext) -> CheckResult:
-    """Linear structure: recovery from the commuting family, the dependence
-    identity, matrix-level closure, and the exact generator rank."""
-    d, gamma = ctx.d, ctx.gamma
-    recovered = jm_recovered_generators(d, gamma)
-    for (i, j), op in recovered.items():
-        if op != l_operator(i, j, d, gamma):
-            return CheckResult("relations", "fail", f"recovery of L_({i},{j}) fails")
-    dependence = (
-        m_operator(1, d, gamma)
-        - m_operator(2, d, gamma)
-        - m_operator(2, d, gamma, "minus")
-        + (m_operator(3, d, gamma, "minus") if d >= 3 else DiffOp.zero(d))
-        - m_operator(d, d, gamma, "plus")
-    )
-    if not dependence.is_zero():
-        return CheckResult("relations", "fail", "dependence identity fails")
-    if d == 3:
-        m_ = {
-            "L": ctx.generator_sum(combinations(range(1, d + 2), 2)),
-            "L234": ctx.m_matrix(2),
-            "L34": ctx.m_matrix(3),
-            "L134": ctx.m_matrix(2, "plus"),
-            "L123": ctx.m_matrix(2, "minus"),
-            "L23": ctx.m_matrix(3, "minus"),
-        }
-        closure = [
-            (ctx.generator_matrix(1, 2), m_["L"] - m_["L134"] - m_["L234"] + m_["L34"]),
-            (
-                ctx.generator_matrix(1, 3),
-                m_["L123"] + m_["L134"] + m_["L234"] - m_["L"] - m_["L23"] - m_["L34"],
-            ),
-            (ctx.generator_matrix(1, 4), m_["L"] - m_["L123"] - m_["L234"] + m_["L23"]),
-            (ctx.generator_matrix(2, 4), m_["L234"] - m_["L23"] - m_["L34"]),
-        ]
-        for got, expected in closure:
-            if got != expected:
-                return CheckResult("relations", "fail", "three-variable closure fails")
-    rank = generator_rank(d, gamma)
+    """Each row of ``jm_relations`` (recovery of every L_{i,j}, dependence,
+    d = 3 closure) as an identity of index pairs, then the generator rank.
+    M_j^variant is the generator sum over ``m_pairs``, so a pair identity gives
+    the operator and matrix identities; the generators are independent for
+    every gamma (L_{j,d+1} alone has x_j in its d_j^2 coefficient, L_{i,j},
+    j <= d, alone a d_i d_j term), so the operator identity gives the pair one."""
+    d = ctx.d
+    for kind, target, terms in jm_relations(d):
+        if pair_counts(terms, d) != ({target: 1} if target else {}):
+            details = _RELATION_FAILURES[kind].format(*(target or ()))
+            return CheckResult("relations", "fail", details)
+    rank = generator_rank(d, ctx.gamma)
     expected_rank = comb(d + 1, 2)
     if rank != expected_rank:
         return CheckResult(

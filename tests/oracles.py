@@ -8,19 +8,25 @@ self-adjointness oracle compares polynomial inner products instead of the
 Gram-twisted symmetry of expansion matrices, the orbit oracle grows each
 orbit by exact elimination instead of walking the nonzero pattern, the
 expansion oracle multiplies by the inverse of the dense basis matrix instead
-of substituting along the lex-triangular leads, and the operator-matrix oracle
+of substituting along the lex-triangular leads, the operator-matrix oracle
 expands each generator sum and product from its own differential operator
-instead of adding and multiplying generator matrices.
+instead of adding and multiplying generator matrices, the relations oracle
+compares sums of Jucys-Murphy operators and matrices instead of counting index
+pairs, the rank oracle ranks the generators' actions on monomials instead of
+their coefficients, and the total operator is built from its closed form
+instead of as a pair sum.
 """
 
 import functools
 import random
+from itertools import combinations
+from math import comb
 
-from simplexalg.diffops import f_combination, l_operator, l_total, m_operator
+from simplexalg.diffops import DiffOp, f_combination, l_operator, m_operator
 from simplexalg.jacobi import graded_indices, jacobi1d, jacobi_simplex, monomials_upto
 from simplexalg.linalg import ExactMatrix, SpanBasis
 from simplexalg.moments import inner_product
-from simplexalg.params import ParamVector, check_gamma
+from simplexalg.params import ParamVector, check_gamma, require_valid
 from simplexalg.poly import MultiPoly
 from simplexalg.scalar import Rat
 from simplexalg.verify import CheckResult
@@ -214,7 +220,7 @@ def operator_matrix_oracle(ctx, f_choices) -> dict:
     plane block (a = 1: L_{1,2}; a = 2, 3: L_{a-1,3} + ... + L_{a-1,d+1}),
     ("F", i, j, k, l) for each index choice, and ("L",) for the total."""
     d, gamma = ctx.d, ctx.gamma
-    out = {("L",): ctx.matrix_of(l_total(d, gamma))}
+    out = {("L",): ctx.matrix_of(l_total_closed_form(d, gamma))}
     for j in range(1, d + 1):
         for variant in ("plain", "plus", "minus"):
             out[("M", j, variant)] = ctx.matrix_of(m_operator(j, d, gamma, variant))
@@ -228,3 +234,82 @@ def operator_matrix_oracle(ctx, f_choices) -> dict:
     for choice in f_choices:
         out[("F",) + choice] = ctx.matrix_of(_f_operator(*choice, d, gamma))
     return out
+
+
+def l_total_closed_form(d: int, gamma) -> DiffOp:
+    """The sum L of all generators from its closed form
+
+        L = sum_k x_k(1-x_k) d_k^2 - 2 sum_{k<j} x_k x_j d_k d_j
+            + sum_k (g_k + 1 - (|g|+d+1) x_k) d_k.
+    """
+    params = require_valid(gamma, d)
+    x = [MultiPoly.variable(d, k) for k in range(d)]
+    terms: dict = {}
+    for k in range(d):
+        e2 = [0] * d
+        e2[k] = 2
+        terms[tuple(e2)] = x[k] * (MultiPoly.const(d, 1) - x[k])
+        e1 = [0] * d
+        e1[k] = 1
+        terms[tuple(e1)] = MultiPoly.const(d, params[k + 1] + 1) - x[k].scale(params.total() + d + 1)
+    for k, j in combinations(range(d), 2):
+        e = [0] * d
+        e[k] = e[j] = 1
+        terms[tuple(e)] = (x[k] * x[j]).scale(-2)
+    return DiffOp(d, terms)
+
+
+def generator_rank_oracle(d: int, gamma, degree: int = 3) -> int:
+    """Exact rank of the generators as maps on polynomials of degree <= ``degree``,
+    from their images of every monomial."""
+    params = require_valid(gamma, d)
+    monomials = monomials_upto(degree, d)
+    index = {m: i for i, m in enumerate(monomials)}
+    span = SpanBasis(len(monomials) ** 2)
+    for i, j in combinations(range(1, d + 2), 2):
+        op = l_operator(i, j, d, params)
+        flat = []
+        for exponent in monomials:
+            flat.extend(op.apply(MultiPoly.monomial(d, exponent)).coordinates(index))
+        span.add(flat)
+    return span.dim
+
+
+def relations_oracle(ctx) -> CheckResult:
+    """The relations check as sums of operators: every recovery formula (both
+    for L_{1,d+1}) and the dependence identity as DiffOp sums of M_j^variant,
+    the d = 3 closure on the matrices of ``ctx``, then ``generator_rank_oracle``."""
+    d, gamma = ctx.d, ctx.gamma
+
+    def m(j, variant="plain"):
+        return m_operator(j, d, gamma, variant) if j <= d else DiffOp.zero(d)
+
+    recoveries = [
+        ((1, j), m(j - 1, "plus") + m(j + 1) - m(j) - m(j, "plus")) for j in range(2, d + 2)
+    ] + [
+        ((i, d + 1), m(i) + m(i + 2, "minus") - m(i + 1, "minus") - m(i + 1))
+        for i in range(1, d + 1)
+    ]
+    for (i, j), op in recoveries:
+        if op != l_operator(i, j, d, gamma):
+            return CheckResult("relations", "fail", f"recovery of L_({i},{j}) fails")
+    if not (m(1) - m(2) - m(2, "minus") + m(3, "minus") - m(d, "plus")).is_zero():
+        return CheckResult("relations", "fail", "dependence identity fails")
+    if d == 3:
+        total = ctx.generator_sum(combinations(range(1, d + 2), 2))
+        l234, l34, l134 = ctx.m_matrix(2), ctx.m_matrix(3), ctx.m_matrix(2, "plus")
+        l123, l23 = ctx.m_matrix(2, "minus"), ctx.m_matrix(3, "minus")
+        closure = [
+            ((1, 2), total - l134 - l234 + l34),
+            ((1, 3), l123 + l134 + l234 - total - l23 - l34),
+            ((1, 4), total - l123 - l234 + l23),
+            ((2, 4), l234 - l23 - l34),
+        ]
+        if any(ctx.generator_matrix(i, j) != matrix for (i, j), matrix in closure):
+            return CheckResult("relations", "fail", "three-variable closure fails")
+    rank = generator_rank_oracle(d, gamma)
+    if rank != comb(d + 1, 2):
+        return CheckResult(
+            "relations", "fail", f"generator rank {rank} != C(d+1,2) = {comb(d + 1, 2)}"
+        )
+    return CheckResult("relations", "pass", f"recovery, dependence, closure, rank {rank} verified")

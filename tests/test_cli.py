@@ -186,3 +186,38 @@ def test_unexpected_exception_is_internal_error():
     assert "Traceback" not in result.stderr
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("internal error: ValueError: ")
+
+
+def test_bad_operator_index_is_usage_error(capsys):
+    for op, d in (("L:1,5", "2"), ("M:3", "2"), ("F:1,2,3,3", "3"), ("R+:1", "2")):
+        gamma = ",".join(["1/2", "1/3", "1/5", "1/7"][: int(d) + 1])
+        assert run_cli("matrix", "--op", op, "--d", d, "--n", "1", "--gamma", gamma) == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [
+        "usage error: index pair (1,5) out of range for d = 2",
+        "usage error: index 3 out of range for d = 2",
+        "usage error: indices i, j, k, l must be distinct",
+        "usage error: j must satisfy 2 <= j <= 2",
+    ]
+
+
+def test_negative_degree_or_draws_is_usage_error(capsys):
+    assert run_cli("verify", "--gamma", "1/2,1/3,1/5", "--n", "-1") == EXIT_USAGE
+    assert run_cli("verify", "--gamma", "1/2,1/3,1/5", "--n", "1,-2") == EXIT_USAGE
+    assert run_cli("matrix", "--op", "L:1,2", "--d", "2", "--n", "-1", "--gamma", "0,0,0") == EXIT_USAGE
+    assert run_cli("sweep", "--seed", "1", "--draws", "-3") == EXIT_USAGE
+    assert run_cli("sweep", "--seed", "1", "--draws", "1", "--n", "-1") == EXIT_USAGE
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.splitlines() == [
+        "usage error: n = -1 is negative; n must be >= 0",
+        "usage error: n = -2 is negative; n must be >= 0",
+        "usage error: n = -1 is negative; n must be >= 0",
+        "usage error: draws = -3 is negative; draws must be >= 0",
+        "usage error: n = -1 is negative; n must be >= 0",
+    ]
+
+
+def test_degree_zero_is_still_a_cell(capsys):
+    assert run_cli("verify", "--gamma", "1/2,1/3,1/5", "--n", "0", "--suite", "relations") == EXIT_PASS
+    assert "relations" in capsys.readouterr().out

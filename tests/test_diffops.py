@@ -3,14 +3,17 @@ from math import comb
 
 import pytest
 
+from oracles import generator_rank_oracle, l_total_closed_form
 from simplexalg.diffops import (
     DiffOp,
     commutator,
     f_combination,
     jm_recovered_generators,
+    jm_relations,
     l_operator,
     l_total,
     m_operator,
+    pair_counts,
 )
 from simplexalg.jacobi import monomials_upto
 from simplexalg.params import ParamVector
@@ -69,6 +72,7 @@ def test_total_equals_pair_sum():
         for i, j in combinations(range(1, d + 2), 2):
             summed = summed + l_operator(i, j, d, gamma)
         assert l_total(d, gamma) == summed
+        assert l_total_closed_form(d, gamma) == summed
 
 
 def test_apply_zero_polynomial():
@@ -134,6 +138,25 @@ def test_jm_recovery(d, gamma):
         assert recovered[(i, d + 1)] == l_operator(i, d + 1, d, gamma), (i, d + 1)
 
 
+@pytest.mark.parametrize("d", range(2, 8))
+def test_jm_relations_hold_on_index_pairs(d):
+    rows = jm_relations(d)
+    kinds = [kind for kind, _, _ in rows]
+    assert kinds == ["recovery"] * (2 * d) + ["dependence"] + ["closure"] * (4 if d == 3 else 0)
+    targets = [target for kind, target, _ in rows if kind == "recovery"]
+    assert targets.count((1, d + 1)) == 2
+    assert set(targets) == {(1, j) for j in range(2, d + 2)} | {(i, d + 1) for i in range(1, d + 1)}
+    for kind, target, terms in rows:
+        assert pair_counts(terms, d) == ({target: 1} if target else {}), (kind, target)
+
+
+def test_pair_counts_of_the_low_dimensional_names():
+    assert pair_counts([(1, 1, "plain")], 3) == {pair: 1 for pair in combinations(range(1, 5), 2)}
+    assert pair_counts([(1, 2, "plus")], 3) == {(1, 3): 1, (1, 4): 1, (3, 4): 1}
+    assert pair_counts([(1, 3, "minus"), (-1, 3, "minus")], 3) == {}
+    assert pair_counts([(1, 4, "plain"), (1, 5, "minus")], 3) == {}
+
+
 def test_recovery_convention_collapses():
     # the last recovery reduces to a single commuting-family element
     recovered = jm_recovered_generators(3, G3)
@@ -193,6 +216,11 @@ def test_degree_preservation(d, gamma):
 @pytest.mark.parametrize("d,gamma", [(2, G0), (3, G3), (4, G4)])
 def test_generators_linearly_independent(d, gamma):
     assert generator_rank(d, gamma) == comb(d + 1, 2)
+
+
+@pytest.mark.parametrize("d,gamma", [(2, G0), (3, G3), (4, G4), (5, G5)])
+def test_rank_agrees_with_monomial_oracle(d, gamma):
+    assert generator_rank(d, gamma) == generator_rank_oracle(d, gamma) == comb(d + 1, 2)
 
 
 def test_diffop_json():

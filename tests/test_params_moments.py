@@ -137,3 +137,16 @@ def test_inner_product_symmetric_bilinear(p, q, r, c):
     left = inner_product(p.scale(c) + r, q, g)
     right = c * inner_product(p, q, g) + inner_product(r, q, g)
     assert left == right
+
+
+def test_require_valid_checks_a_vector_once(monkeypatch):
+    import simplexalg.params as params
+
+    calls = []
+    check = params.check_gamma
+    monkeypatch.setattr(params, "check_gamma", lambda *args: calls.append(args) or check(*args))
+    gamma = ParamVector([Rat(1, 2), Rat(1, 3), Rat(1, 5)])
+    for _ in range(3):
+        assert require_valid(gamma) is gamma
+        assert require_valid(gamma, 2) is gamma
+    assert len(calls) == 1

@@ -1,15 +1,20 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     dense_expand_oracle,
+    generator_rank_oracle,
     orbit_closure_dimensions,
+    relations_oracle,
     sample_valid_gammas,
     selfadjoint_orthogonal_oracle,
 )
+from simplexalg import diffops, verify
 from simplexalg.diffops import DiffOp, l_operator
 from simplexalg.errors import InvalidParameter, InvariantViolation
 from simplexalg.jacobi import level_indices
@@ -21,6 +26,7 @@ from simplexalg.verify import (
     ModuleContext,
     ModuleInvarianceError,
     eigenvalue,
+    generator_rank,
     irreducibility_check,
     reachable_counts,
     run_suites,
@@ -268,6 +274,67 @@ def test_submodule_diagnostic(ctx_3):
 
 def test_verify_relations(ctx_3):
     assert verify_relations(ctx_3).status == "pass"
+
+
+RELATION_CELLS = [
+    (d, n, gamma)
+    for d, n in ((2, 2), (3, 2), (4, 1))
+    for gamma in sample_valid_gammas(80 + d, d, 3)
+] + [
+    (2, 2, ParamVector([Rat(1, 2), Rat(-2, 3), Rat(2, 3)])),
+    (3, 2, ParamVector([Rat(5, 3), Rat(1, 2), Rat(-5, 4), Rat(-5, 4)])),
+    (3, 2, ParamVector([Rat(1, 2), Rat(1, 2), Rat(-1, 2), Rat(-1, 2)])),
+]
+
+
+@pytest.mark.parametrize("d,n,gamma", RELATION_CELLS)
+def test_relations_agree_with_operator_oracle(d, n, gamma):
+    ctx = ModuleContext(d, n, gamma)
+    got, expected = verify_relations(ctx), relations_oracle(ctx)
+    assert (got.status, got.details) == (expected.status, expected.details)
+    assert got.status == "pass"
+
+
+def test_relations_catch_swapped_cycle_directions(monkeypatch):
+    cycle = diffops._cycle
+    monkeypatch.setattr(diffops, "_cycle", lambda index, d, power: cycle(index, d, -power))
+    for d in (2, 3, 4):
+        ctx = ModuleContext(d, 1, sample_valid_gammas(7, d, 1)[0])
+        for result in (verify_relations(ctx), relations_oracle(ctx)):
+            assert (result.status, result.details) == ("fail", "recovery of L_(1,2) fails")
+
+
+def test_relations_catch_a_dependent_generator_family(monkeypatch):
+    def dependent(i, j, d, gamma):
+        if (min(i, j), max(i, j)) == (1, 2):
+            return l_operator(1, 3, d, gamma) + l_operator(2, 3, d, gamma)
+        return l_operator(i, j, d, gamma)
+
+    monkeypatch.setattr(verify, "l_operator", dependent)
+    monkeypatch.setattr(oracles, "l_operator", dependent)
+    for d in (2, 3, 4):
+        gamma = sample_valid_gammas(11, d, 1)[0]
+        size = comb(d + 1, 2)
+        assert generator_rank(d, gamma) == generator_rank_oracle(d, gamma) == size - 1
+        result = verify_relations(ModuleContext(d, 1, gamma))
+        assert (result.status, result.details) == (
+            "fail", f"generator rank {size - 1} != C(d+1,2) = {size}"
+        )
+
+
+def test_relations_build_no_operator_sum_and_no_matrix(monkeypatch):
+    contexts = [ModuleContext(d, 2, sample_valid_gammas(5, d, 1)[0]) for d in (2, 3, 4)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the relations suite needs no operator sum or matrix")
+
+    for owner in (diffops, verify):
+        monkeypatch.setattr(owner, "m_operator", refuse)
+    monkeypatch.setattr(ModuleContext, "generator_sum", refuse)
+    monkeypatch.setattr(ModuleContext, "matrix_of", refuse)
+    monkeypatch.setattr(DiffOp, "__add__", refuse)
+    for ctx in contexts:
+        assert verify_relations(ctx).status == "pass"
 
 
 def test_gram_twisted_symmetry(ctx_3):
