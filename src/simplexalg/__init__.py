@@ -12,7 +12,6 @@ from .diffops import (
     anticommutator,
     commutator,
     f_combination,
-    jm_recovered_generators,
     l_operator,
     l_total,
     m_operator,
@@ -25,10 +24,10 @@ from .errors import (
     InvariantViolation,
     SingularSystem,
 )
-from .jacobi import BasisSet, a_param, jacobi1d, jacobi_simplex, graded_indices, level_indices
-from .linalg import ExactMatrix, SpanBasis, exact_solve
+from .jacobi import a_param, jacobi1d, jacobi_simplex, graded_indices, level_indices
+from .linalg import ExactMatrix, SpanBasis
 from .moments import inner_product, simplex_moment
-from .params import ParamVector, check_gamma, param_valid, require_valid
+from .params import ParamVector, check_gamma, require_valid
 from .poly import MultiPoly
 from .racah import (
     RacahOp,
@@ -39,11 +38,9 @@ from .racah import (
     b134_operator,
     b23_operator,
     certificate_2d,
-    explicit_3d_operator,
     parameter_maps,
     predicted_m_action,
     racah_coefficient,
-    racah_kernel,
     racah_operator,
 )
 from .scalar import Rat, as_rat, pochhammer, rat_str

@@ -279,12 +279,13 @@ def cmd_verify(args) -> int:
     return _exit_code(reports, config.mode)
 
 
-def sample_gamma(rng: random.Random, d: int, numerator_bound: int = 6, den_bound: int = 4) -> ParamVector:
-    """One random rational gamma draw (may be invalid; caller filters)."""
+def sample_gamma(rng: random.Random, d: int) -> ParamVector:
+    """One random rational gamma draw, each entry num/den with |num| <= 6 and
+    1 <= den <= 4 (may be invalid; caller filters)."""
     values = []
     for _ in range(d + 1):
-        den = rng.randint(1, den_bound)
-        num = rng.randint(-numerator_bound, numerator_bound)
+        den = rng.randint(1, 4)
+        num = rng.randint(-6, 6)
         values.append(Rat(num, den))
     return ParamVector(values)
 

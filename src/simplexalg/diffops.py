@@ -135,26 +135,6 @@ class DiffOp:
                 result = result + coefficient * dp
         return result
 
-    def preserves_degree_upto(self, n: int) -> bool:
-        """True iff deg(apply(p)) <= deg(p) for every monomial p of degree <= n."""
-        from .jacobi import monomials_upto  # local import to avoid a cycle
-
-        for exponent in monomials_upto(n, self.dim):
-            image = self.apply(MultiPoly.monomial(self.dim, exponent))
-            if image.total_degree() > sum(exponent):
-                return False
-        return True
-
-    def to_json(self) -> dict:
-        ordered = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-        return {
-            "d": self.dim,
-            "terms": [
-                {"deriv": list(deriv), "coef_poly": coefficient.to_json_terms()}
-                for deriv, coefficient in ordered
-            ],
-        }
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -281,21 +261,6 @@ def pair_counts(terms, d: int) -> dict:
             pair = (min(k, l), max(k, l))
             counts[pair] = counts.get(pair, 0) + sign
     return {pair: count for pair, count in counts.items() if count}
-
-
-def jm_recovered_generators(d: int, gamma) -> dict:
-    """Generators recovered from the commuting family and its cyclic images by
-    the recovery rows of ``jm_relations``, keyed by the recovered index pair;
-    L_{1,d+1} is built from its second formula."""
-    params = require_valid(gamma, d)
-    out = {}
-    for kind, target, terms in jm_relations(d):
-        if kind == "recovery":
-            out[target] = DiffOp.zero(d)
-            for sign, j, variant in terms:
-                if j <= d:
-                    out[target] = out[target] + m_operator(j, d, params, variant).scale(sign)
-    return out
 
 
 def f_combination(i: int, j: int, k: int, l: int, d: int, gamma) -> DiffOp:

@@ -30,11 +30,9 @@ forward substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidParameter, InvariantViolation
-from .linalg import ExactMatrix
 from .params import ParamVector, check_jacobi_params, require_valid
 from .poly import MultiPoly
 from .scalar import Rat, as_rat, pochhammer
@@ -120,7 +118,9 @@ def lex_lead(nu: Sequence[int], poly: MultiPoly) -> Rat:
 
 
 def level_indices(n: int, d: int) -> list:
-    """All nu with |nu| = n, in descending lexicographic order."""
+    """All nu with |nu| = n, in descending lexicographic order; none for n < 0."""
+    if n < 0:
+        return []
     if d == 0:
         return [()] if n == 0 else []
     out = []
@@ -148,51 +148,3 @@ def monomials_upto(n: int, d: int) -> list:
     """All exponent tuples of total degree <= n (same enumeration as indices)."""
     return graded_indices(n, d)
 
-
-@dataclass(frozen=True)
-class BasisSet:
-    """The ordered basis {P_nu : |nu| = n} of the degree-n space."""
-
-    d: int
-    n: int
-    gamma: ParamVector
-    elements: tuple  # of (nu, MultiPoly) pairs
-
-    @classmethod
-    def build(cls, n: int, d: int, gamma) -> "BasisSet":
-        params = require_valid(gamma, d)
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        elements = tuple(
-            (nu, jacobi_simplex(nu, params)) for nu in level_indices(n, d)
-        )
-        for nu, poly in elements:  # distinct lex leads: linearly independent
-            lex_lead(nu, poly)
-        return cls(d, n, params, elements)
-
-    @property
-    def indices(self) -> list:
-        return [nu for nu, _ in self.elements]
-
-    @property
-    def polys(self) -> list:
-        return [p for _, p in self.elements]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def coefficient_matrix(self) -> ExactMatrix:
-        """Monomial-coordinate matrix (rows = monomials of degree <= n, cols = P_nu)."""
-        index = {m: i for i, m in enumerate(monomials_upto(self.n, self.d))}
-        return ExactMatrix.from_columns([poly.coordinates(index) for _, poly in self.elements])
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "gamma": self.gamma.to_json(),
-            "elements": [
-                {"nu": list(nu), "poly": poly.to_json_terms()}
-                for nu, poly in self.elements
-            ],
-        }

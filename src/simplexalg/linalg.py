@@ -1,14 +1,14 @@
 """Exact dense linear algebra over the rationals.
 
-Gaussian elimination with exact rational pivots: rank, solve, inverse and
-nullspace never round, so there is no tolerance parameter anywhere.  Matrices
+Gaussian elimination with exact rational pivots: rank, solve and inverse
+never round, so there is no tolerance parameter anywhere.  Matrices
 are small (desk scale), so plain division-based elimination is the right
 tool; results are exact because the scalars are.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, SingularSystem
 from .scalar import Rat, as_rat, rat_str
@@ -54,12 +54,6 @@ class ExactMatrix:
         r, c = rc
         return self.entries[r][c]
 
-    def row(self, i) -> list:
-        return list(self.entries[i])
-
-    def column(self, j) -> list:
-        return [self.entries[i][j] for i in range(self.rows)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -103,11 +97,6 @@ class ExactMatrix:
                     for c, b in pairs:
                         acc[c] += a * b
         return ExactMatrix(out)
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
 
     def matvec(self, vector: Sequence) -> list:
         vector = [as_rat(v) for v in vector]
@@ -181,31 +170,11 @@ class ExactMatrix:
             raise DimensionMismatch("inverse of a non-square matrix")
         return self.solve(ExactMatrix.identity(self.rows))
 
-    def nullspace(self) -> list:
-        """Basis of the right kernel, each vector a list of rationals."""
-        m, _, pivots = self._rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            vec = [Rat(0)] * self.cols
-            vec[f] = Rat(1)
-            for r, c in enumerate(pivots):
-                vec[c] = -m[r][f]
-            basis.append(vec)
-        return basis
-
     def to_json(self) -> list:
         return [[rat_str(v) for v in row] for row in self.entries]
 
     def __repr__(self) -> str:
         return "[" + "; ".join(" ".join(rat_str(v) for v in row) for row in self.entries) + "]"
-
-
-def exact_solve(matrix: ExactMatrix, rhs: Iterable) -> list:
-    """Solve matrix @ x = rhs for a single right-hand-side vector."""
-    column = ExactMatrix([[v] for v in rhs])
-    return matrix.solve(column).column(0)
 
 
 class SpanBasis:

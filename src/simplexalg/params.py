@@ -105,21 +105,6 @@ def check_gamma(gamma, d: int | None = None) -> list:
     return violations
 
 
-@dataclass(frozen=True)
-class ParamCheck:
-    ok: bool
-    violations: tuple
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def param_valid(gamma, d: int | None = None) -> ParamCheck:
-    """Total validity predicate with diagnostics; never raises."""
-    violations = check_gamma(gamma, d)
-    return ParamCheck(not violations, tuple(violations))
-
-
 def require_valid(gamma, d: int | None = None) -> ParamVector:
     """as_params + raise InvalidParameter listing every violated condition;
     a ParamVector is frozen, so it checks its own conditions once."""

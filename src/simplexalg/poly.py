@@ -5,9 +5,8 @@ nonnegative ints) to nonzero rational coefficients.  The zero polynomial has
 an empty term map.  All arithmetic is exact and results are always canonical
 (no stored zero coefficients).
 
-The canonical term order used for serialization and leading-term queries is
-graded lexicographic: higher total degree first, ties broken by the larger
-exponent tuple.
+Terms print in graded lexicographic order: higher total degree first, ties
+broken by the larger exponent tuple.
 """
 
 from __future__ import annotations
@@ -92,11 +91,6 @@ class MultiPoly:
     def sorted_terms(self):
         """Terms in graded-lex order, leading term first."""
         return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]), reverse=True)
-
-    def leading_term(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return self.sorted_terms()[0]
 
     def coefficient(self, exponent) -> Rat:
         return self.terms.get(tuple(exponent), Rat(0))
@@ -300,18 +294,6 @@ class MultiPoly:
         for exponent in [e for e, c in out.items() if c == 0]:
             del out[exponent]
         return MultiPoly._raw(self.dim, out)
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json_terms(self) -> list:
-        return [
-            {"exp": list(exponent), "coef": rat_str(coefficient)}
-            for exponent, coefficient in self.sorted_terms()
-        ]
-
-    @classmethod
-    def from_json_terms(cls, dim: int, terms: list) -> "MultiPoly":
-        return cls(dim, {tuple(t["exp"]): as_rat(t["coef"]) for t in terms})
 
     def __repr__(self) -> str:
         if not self.terms:

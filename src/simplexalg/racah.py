@@ -303,23 +303,6 @@ def _b_denominator(i: int, bit: int, beta) -> "tuple[Rat, list]":
     return Rat(4), [(i, -(b_i + 1) / 2), (i, -b_i / 2)]
 
 
-def racah_kernel(i: int, z: Sequence, beta) -> dict:
-    """The six kernel values at a concrete point (z_0 = 0 convention)."""
-    # zvals[k] = z_k, padded with zeros up to z_{i+1}
-    zvals = [Rat(0)] + [as_rat(v) for v in z] + [Rat(0)] * (i + 1 - len(z))
-    b_i, b_i1 = as_rat(beta[i]), as_rat(beta[i + 1])
-    values = {
-        f"B{a}{b}": _kernel(a, b, zvals[i], zvals[i + 1], b_i, b_i1)
-        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))
-    }
-    for bit in (0, 1):
-        const, factors = _b_denominator(i, bit, beta)
-        for _, root in factors:
-            const *= zvals[i] - root
-        values[f"b{bit}"] = const
-    return values
-
-
 def racah_coefficient(j: int, pattern: Sequence[int], beta) -> ZFraction:
     """C_{j,pattern} as an exact fraction in z_1..z_{j+1}.
 
@@ -482,9 +465,6 @@ class RacahOp:
         self.name = name
         self.terms = tuple(terms)
 
-    def shifts(self) -> list:
-        return [term.shift for term in self.terms]
-
     def coefficient(self, shift, nu) -> Rat:
         shift = tuple(shift)
         total = Rat(0)
@@ -492,10 +472,6 @@ class RacahOp:
             if term.shift == shift:
                 total += term.coef.eval(tuple(nu))
         return total
-
-    def scan_degenerate(self, n: int) -> list:
-        """Strict pre-scan over the whole level |nu| = n."""
-        return self.assemble(n)[1]
 
     def assemble(self, n: int) -> "tuple[ExactMatrix | None, list]":
         """Strict evaluation: (matrix, []) or (None, degeneracy reports)."""
@@ -542,23 +518,6 @@ class RacahOp:
                     )
                 entries[index[target]][col] += value
         return ExactMatrix(entries), problems
-
-    def to_json(self, n: int) -> dict:
-        samples = level_indices(n, self.d)
-        return {
-            "name": self.name,
-            "d": self.d,
-            "terms": [
-                {
-                    "shift": list(term.shift),
-                    "coef_at": [
-                        {"nu": list(nu), "value": rat_str(term.coef.eval(nu))}
-                        for nu in samples
-                    ],
-                }
-                for term in self.terms
-            ],
-        }
 
 
 # -- printed-coefficient evaluators (numerator-first) ------------------------
@@ -803,14 +762,6 @@ PRINTED_OPERATORS = {
     "B134": (3, b134_operator),
     "B123": (3, b123_operator),
 }
-
-
-def explicit_3d_operator(which: str, gamma) -> RacahOp:
-    """Dispatch for the printed three-variable operators."""
-    builders = {name: build for name, (d, build) in PRINTED_OPERATORS.items() if d == 3}
-    if which not in builders:
-        raise ValueError(f"unknown operator {which!r}; expected one of {sorted(builders)}")
-    return builders[which](gamma)
 
 
 def certificate_2d(nu, gamma) -> Rat:

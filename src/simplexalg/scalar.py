@@ -45,8 +45,10 @@ def as_rat(value) -> Rat:
         if "." in text or "e" in text or "E" in text:
             raise ValueError(f"rational literal {value!r} rejected: use p/q form, not decimals")
         if "/" in text:
-            num, den = text.split("/", 1)
-            return Rat(int(num), int(den))
+            num, den = (int(part) for part in text.split("/", 1))
+            if den == 0:
+                raise ValueError(f"rational literal {value!r} has a zero denominator")
+            return Rat(num, den)
         return Rat(int(text))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
@@ -65,11 +67,6 @@ def pochhammer(a, k: int) -> Rat:
     for i in range(k):
         result *= a + i
     return result
-
-
-def is_integer(value) -> bool:
-    """True iff ``value`` is an integer-valued rational."""
-    return as_rat(value).denominator == 1
 
 
 def is_int_leq(value, bound: int) -> bool:

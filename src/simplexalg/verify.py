@@ -75,11 +75,8 @@ class CheckResult:
     details: str = ""
     millis: int = 0
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        out = {"name": self.name, "status": self.status, "details": self.details}
-        if include_timing:
-            out["millis"] = self.millis
-        return out
+    def to_json(self) -> dict:
+        return {"name": self.name, "status": self.status, "details": self.details}
 
 
 @dataclass
@@ -97,14 +94,13 @@ class VerificationReport:
     def degenerate(self) -> bool:
         return any(c.status == "degenerate" for c in self.checks)
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        # timing is excluded from persisted reports so identical runs are
-        # byte-identical; pass include_timing=True for live diagnostics.
+    def to_json(self) -> dict:
+        # no timing: identical runs persist byte-identical reports
         return {
             "d": self.d,
             "n": self.n,
             "gamma": self.gamma.to_json(),
-            "checks": [c.to_json(include_timing) for c in self.checks],
+            "checks": [c.to_json() for c in self.checks],
         }
 
     def json_bytes(self) -> bytes:

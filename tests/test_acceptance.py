@@ -196,7 +196,7 @@ def test_criterion_09_reduction_consistency():
         matched = True
         for n in range(6):
             pred = predicted_m_action(variant, j, n, d, gamma)
-            shifts = set(explicit.shifts()) | set(pred.shifts())
+            shifts = {t.shift for t in explicit.terms} | {t.shift for t in pred.terms}
             for nu in level_indices(n, d):
                 for shift in shifts:
                     matched = matched and explicit.coefficient(

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from simplexalg.cli import (
     EXIT_DEGENERATE,
@@ -18,6 +20,16 @@ from simplexalg.params import ParamVector
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_module(*argv):
+    """``python -m simplexalg.cli`` in a child that imports the checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "simplexalg.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def test_matrix_pinned_case(capsys):
@@ -152,11 +164,7 @@ def test_verify_parallel_workers_deterministic(tmp_path):
 
 
 def test_console_entry_point_runs():
-    result = subprocess.run(
-        [sys.executable, "-m", "simplexalg.cli", "matrix", "--op", "Ltot",
-         "--d", "2", "--n", "1", "--gamma", "1/2,1/3,1/4"],
-        capture_output=True, text=True,
-    )
+    result = run_module("matrix", "--op", "Ltot", "--d", "2", "--n", "1", "--gamma", "1/2,1/3,1/4")
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["op"] == "Ltot"
@@ -178,10 +186,7 @@ def test_d_below_two_is_usage_error(capsys):
 def test_unexpected_exception_is_internal_error():
     # gamma_2 + gamma_3 = -1: a nonzero general-family coefficient escapes
     # the range, an internal fault rather than a verdict on the cell
-    result = subprocess.run(
-        [sys.executable, "-m", "simplexalg.cli", "verify", "--gamma", "-1/2,-1/2,-1/2", "--n", "2"],
-        capture_output=True, text=True,
-    )
+    result = run_module("verify", "--gamma", "-1/2,-1/2,-1/2", "--n", "2")
     assert result.returncode == EXIT_INTERNAL
     assert "Traceback" not in result.stderr
     lines = result.stderr.splitlines()
@@ -221,3 +226,13 @@ def test_negative_degree_or_draws_is_usage_error(capsys):
 def test_degree_zero_is_still_a_cell(capsys):
     assert run_cli("verify", "--gamma", "1/2,1/3,1/5", "--n", "0", "--suite", "relations") == EXIT_PASS
     assert "relations" in capsys.readouterr().out
+
+
+def test_zero_denominator_in_gamma_is_usage_error(capsys):
+    assert run_cli("verify", "--gamma", "1/0,1/3,1/5", "--n", "1") == EXIT_USAGE
+    gamma = ("--gamma", "1/0,1/3,1/5")
+    assert run_cli("matrix", "--op", "L:1,2", "--d", "2", "--n", "1", *gamma) == EXIT_USAGE
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [
+        "usage error: cannot parse gamma '1/0,1/3,1/5': rational literal '1/0' has a zero denominator"
+    ] * 2

@@ -3,12 +3,11 @@ from math import comb
 
 import pytest
 
-from oracles import generator_rank_oracle, l_total_closed_form
+from oracles import generator_rank_oracle, l_total_closed_form, relations_oracle
 from simplexalg.diffops import (
     DiffOp,
     commutator,
     f_combination,
-    jm_recovered_generators,
     jm_relations,
     l_operator,
     l_total,
@@ -19,7 +18,7 @@ from simplexalg.jacobi import monomials_upto
 from simplexalg.params import ParamVector
 from simplexalg.poly import MultiPoly
 from simplexalg.scalar import Rat
-from simplexalg.verify import generator_rank
+from simplexalg.verify import ModuleContext, generator_rank
 
 G0 = ParamVector([0, 0, 0])
 G3 = ParamVector([Rat(1, 2), Rat(1, 3), Rat(1, 4), Rat(1, 5)])
@@ -131,11 +130,9 @@ def test_jm_dependence_identity(d, gamma):
 
 @pytest.mark.parametrize("d,gamma", [(3, G3), (4, G4)])
 def test_jm_recovery(d, gamma):
-    recovered = jm_recovered_generators(d, gamma)
-    for j in range(2, d + 2):
-        assert recovered[(1, j)] == l_operator(1, j, d, gamma), (1, j)
-    for i in range(1, d + 1):
-        assert recovered[(i, d + 1)] == l_operator(i, d + 1, d, gamma), (i, d + 1)
+    # every recovery formula, both for L_{1,d+1}, as a DiffOp sum of M_j^variant
+    result = relations_oracle(ModuleContext(d, 1, gamma))
+    assert result.status == "pass", result.details
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -159,8 +156,9 @@ def test_pair_counts_of_the_low_dimensional_names():
 
 def test_recovery_convention_collapses():
     # the last recovery reduces to a single commuting-family element
-    recovered = jm_recovered_generators(3, G3)
-    assert recovered[(3, 4)] == m_operator(3, 3, G3)
+    [terms] = [terms for kind, target, terms in jm_relations(3) if target == (3, 4)]
+    assert pair_counts(terms, 3) == pair_counts([(1, 3, "plain")], 3) == {(3, 4): 1}
+    assert m_operator(3, 3, G3) == l_operator(3, 4, 3, G3)
 
 
 def test_compose_leibniz_against_direct_action():
@@ -208,9 +206,11 @@ def test_f_annihilates_constants():
 
 @pytest.mark.parametrize("d,gamma", [(2, G0), (3, G3), (4, G4)])
 def test_degree_preservation(d, gamma):
-    for i, j in combinations(range(1, d + 2), 2):
-        assert l_operator(i, j, d, gamma).preserves_degree_upto(4)
-    assert l_total(d, gamma).preserves_degree_upto(4)
+    ops = [l_operator(i, j, d, gamma) for i, j in combinations(range(1, d + 2), 2)]
+    for op in ops + [l_total(d, gamma)]:
+        for exponent in monomials_upto(4, d):
+            image = op.apply(MultiPoly.monomial(d, exponent))
+            assert image.total_degree() <= sum(exponent), exponent
 
 
 @pytest.mark.parametrize("d,gamma", [(2, G0), (3, G3), (4, G4)])
@@ -221,10 +221,3 @@ def test_generators_linearly_independent(d, gamma):
 @pytest.mark.parametrize("d,gamma", [(2, G0), (3, G3), (4, G4), (5, G5)])
 def test_rank_agrees_with_monomial_oracle(d, gamma):
     assert generator_rank(d, gamma) == generator_rank_oracle(d, gamma) == comb(d + 1, 2)
-
-
-def test_diffop_json():
-    payload = l_operator(1, 2, 2, G0).to_json()
-    assert payload["d"] == 2
-    derivs = [tuple(t["deriv"]) for t in payload["terms"]]
-    assert (2, 0) in derivs and (1, 1) in derivs and (0, 2) in derivs

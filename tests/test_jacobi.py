@@ -4,18 +4,20 @@ import pytest
 
 from simplexalg.errors import InvalidParameter
 from simplexalg.jacobi import (
-    BasisSet,
     a_param,
     graded_indices,
     jacobi1d,
     jacobi_simplex,
     level_indices,
+    lex_lead,
+    monomials_upto,
 )
 from simplexalg.linalg import ExactMatrix
 from simplexalg.moments import inner_product
 from simplexalg.params import ParamVector
 from simplexalg.poly import MultiPoly
 from simplexalg.scalar import Rat
+from simplexalg.verify import ModuleContext
 
 GAMMAS_2 = [
     ParamVector([0, 0, 0]),
@@ -110,7 +112,7 @@ def test_degree_and_leading_coefficient():
         for nu in level_indices(n, 3):
             p = jacobi_simplex(nu, gamma)
             assert p.total_degree() == n
-            assert p.leading_term()[1] != 0
+            assert lex_lead(nu, p) != 0
 
 
 def test_a_param_matches_low_dimensional_parameters():
@@ -130,12 +132,20 @@ def test_level_enumeration_descending_lex():
     assert graded_indices(2, 2) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
+@pytest.mark.parametrize("d", range(1, 5))
+def test_negative_degree_has_no_indices(d):
+    assert level_indices(-1, d) == []
+    assert level_indices(-3, d) == []
+
+
 def test_basis_build_and_rank():
     gamma = ParamVector([Rat(1, 2), Rat(1, 2), Rat(1, 2)])
-    basis = BasisSet.build(3, 2, gamma)
-    assert len(basis) == comb(3 + 1, 1)
-    assert basis.indices == level_indices(3, 2)
-    assert basis.coefficient_matrix().rank() == len(basis)
+    ctx = ModuleContext(2, 3, gamma)
+    assert len(ctx.level) == comb(3 + 1, 1)
+    assert ctx.level == level_indices(3, 2)
+    index = {m: i for i, m in enumerate(monomials_upto(3, 2))}
+    matrix = ExactMatrix.from_columns([ctx.polys[nu].coordinates(index) for nu in ctx.level])
+    assert matrix.rank() == len(ctx.level)
 
 
 def test_graded_family_has_full_rank():
@@ -151,12 +161,3 @@ def test_graded_family_has_full_rank():
             col[index[e]] = c
         columns.append(col)
     assert ExactMatrix.from_columns(columns).rank() == comb(n + 3, 3)
-
-
-def test_basis_json_schema():
-    gamma = ParamVector([0, 0, 0])
-    payload = BasisSet.build(1, 2, gamma).to_json()
-    assert payload["d"] == 2 and payload["n"] == 1
-    assert payload["gamma"] == ["0", "0", "0"]
-    assert [e["nu"] for e in payload["elements"]] == [[1, 0], [0, 1]]
-    assert all("exp" in t and "coef" in t for e in payload["elements"] for t in e["poly"])

@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import simplexalg
+from simplexalg import racah
 from simplexalg.linalg import ExactMatrix
 from simplexalg.scalar import Rat
 from simplexalg.verify import SUITES, ModuleContext, run_suites
@@ -31,6 +32,15 @@ def test_benchmark_tracer_still_reaches_the_racah_layer(monkeypatch):
         run_suites(3, 1, (Rat(1, 2), Rat(1, 3), Rat(1, 5), Rat(1, 7)), SUITES, "strict")
     assert {"racah.printed_build", "racah.assemble"} <= {span[0] for span in tracer.spans}
     assert tracer.counters["racah.coefficient_evals"] > 0
+
+
+def test_benchmark_reference_still_reaches_the_family_build():
+    # perfbench/reference.py times the general family build through these
+    # two seams; renaming either must fail here rather than break that script
+    gamma = (Rat(1, 2), Rat(1, 3), Rat(1, 5), Rat(1, 7))
+    beta_minus = racah.parameter_maps(gamma, 2, 3)[1]
+    op = racah._build_racah_operator(2, beta_minus.values[:4], None)
+    assert op.j == 2 and len(op.terms) == 9
 
 
 def test_no_suite_builds_a_dense_inverse(monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from simplexalg.diffops import l_operator
 from simplexalg.errors import DimensionMismatch, InvalidParameter
 from simplexalg.moments import inner_product, simplex_moment
-from simplexalg.params import ParamVector, check_jacobi_params, param_valid, require_valid
+from simplexalg.params import ParamVector, check_gamma, check_jacobi_params, require_valid
 from simplexalg.poly import MultiPoly
 from simplexalg.scalar import Rat
 
@@ -20,20 +20,20 @@ def test_param_vector_accessors():
 
 
 def test_param_valid_two_variable_conditions():
-    assert param_valid([Rat(1, 2), Rat(1, 2), Rat(1, 2)]).ok
-    bad = param_valid([-1, Rat(1, 2), Rat(1, 2)])
-    assert not bad.ok and "gamma_1" in bad.violations[0]
+    assert check_gamma([Rat(1, 2), Rat(1, 2), Rat(1, 2)]) == []
+    bad = check_gamma([-1, Rat(1, 2), Rat(1, 2)])
+    assert bad and "gamma_1" in bad[0]
     # gamma_2 + gamma_3 = -2 is an excluded integer
-    assert not param_valid([Rat(1, 2), Rat(-3, 2), Rat(-1, 2)]).ok
+    assert check_gamma([Rat(1, 2), Rat(-3, 2), Rat(-1, 2)])
     # the total may not be an integer <= -3
-    assert not param_valid([-1 - 1, Rat(1, 2), Rat(-3, 2)]).ok
+    assert check_gamma([-1 - 1, Rat(1, 2), Rat(-3, 2)])
 
 
 def test_param_valid_three_variable_conditions():
-    assert param_valid([0, 0, 0, 0]).ok
-    assert not param_valid([0, 0, -2, 0]).ok
-    assert not param_valid([0, 0, Rat(-1, 2), Rat(-3, 2)]).ok  # g3+g4 = -2
-    assert not param_valid([0, Rat(1, 2), Rat(-3, 2), -2 + Rat(-1, 1) + Rat(-1, 2)]).ok
+    assert check_gamma([0, 0, 0, 0]) == []
+    assert check_gamma([0, 0, -2, 0])
+    assert check_gamma([0, 0, Rat(-1, 2), Rat(-3, 2)])  # g3+g4 = -2
+    assert check_gamma([0, Rat(1, 2), Rat(-3, 2), -2 + Rat(-1, 1) + Rat(-1, 2)])
 
 
 def test_require_valid_raises_with_all_violations():

@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 
 from oracles import sample_valid_gammas
@@ -6,6 +8,7 @@ from simplexalg.jacobi import level_indices
 from simplexalg.params import ParamVector
 from simplexalg.poly import MultiPoly
 from simplexalg.racah import (
+    PRINTED_OPERATORS,
     FormFactor,
     PrintedCoefficient,
     RacahOp,
@@ -17,12 +20,12 @@ from simplexalg.racah import (
     b134_operator,
     b23_operator,
     certificate_2d,
-    explicit_3d_operator,
     parameter_maps,
     predicted_m_action,
     racah_coefficient,
-    racah_kernel,
     racah_operator,
+    _b_denominator,
+    _kernel,
 )
 from simplexalg.scalar import Rat
 
@@ -135,8 +138,8 @@ def test_strict_scan_flags_b123_at_integer_parameters():
     assert b12_operator(ParamVector([0, Rat(-1, 2), Rat(-1, 2)])).assemble(2)[1] == [
         "shift (-1, 1) at nu=(2, 0): denominator form g2+g3+2nu2+1 vanishes"
     ]
-    assert b12_operator(G0_2).scan_degenerate(4) == []
-    assert b123_operator(G_3).scan_degenerate(4) == []
+    assert b12_operator(G0_2).assemble(4)[1] == []
+    assert b123_operator(G_3).assemble(4)[1] == []
 
 
 def test_certificate_values():
@@ -151,14 +154,20 @@ def test_certificate_values():
 # -- kernels and general coefficients ----------------------------------------
 
 
+def _b_value(i, bit, z_i, beta):
+    """b_i^bit at z_i, from its constant and its monic linear factors."""
+    const, factors = _b_denominator(i, bit, beta)
+    return const * prod(z_i - root for _, root in factors)
+
+
 def test_kernel_values():
-    values = racah_kernel(0, [1], [0, 2])
-    assert values["B00"] == Rat(7, 2)
-    values = racah_kernel(1, [1], [0, 2, 0])
-    assert values["b0"] == Rat(15, 2)
-    assert values["b1"] == 5 * 4
+    # B_0^{0,0}(z_0 = 0, z_1 = 1) with beta = (0, 2)
+    assert _kernel(0, 0, Rat(0), Rat(1), Rat(0), Rat(2)) == Rat(7, 2)
+    beta = [Rat(0), Rat(2), Rat(0)]
+    assert _b_value(1, 0, Rat(1), beta) == Rat(15, 2)
+    assert _b_value(1, 1, Rat(1), beta) == 5 * 4
     # B^{1,0} carries the factor (z_{i+1} - z_i)
-    assert racah_kernel(1, [3, 3], [0, Rat(1, 2), Rat(1, 3)])["B10"] == 0
+    assert _kernel(1, 0, Rat(3), Rat(3), Rat(1, 2), Rat(1, 3)) == 0
 
 
 def test_racah_coefficient_matches_paper_product():
@@ -166,12 +175,17 @@ def test_racah_coefficient_matches_paper_product():
     beta = [Rat(1, 2), Rat(1, 3), Rat(1, 5)]
     frac = racah_coefficient(1, (0,), beta)
     z = [Rat(3), Rat(7)]
-    values = racah_kernel(0, z, beta)
-    values1 = racah_kernel(1, z, beta)
-    assert frac.evaluate(z) == values["B00"] * values1["B00"] / values1["b0"]
+
+    def b0(a, b):
+        return _kernel(a, b, Rat(0), z[0], beta[0], beta[1])
+
+    def b1(a, b):
+        return _kernel(a, b, z[0], z[1], beta[1], beta[2])
+
+    assert frac.evaluate(z) == b0(0, 0) * b1(0, 0) / _b_value(1, 0, z[0], beta)
     # C_{1,(1)} = B_0^{01} B_1^{10} / b_1^1
     frac1 = racah_coefficient(1, (1,), beta)
-    assert frac1.evaluate(z) == values["B01"] * values1["B10"] / values1["b1"]
+    assert frac1.evaluate(z) == b0(0, 1) * b1(1, 0) / _b_value(1, 1, z[0], beta)
 
 
 def test_involution_is_an_involution():
@@ -348,7 +362,7 @@ def test_predicted_minus_reproduces_b12(gamma, n):
     ],
 )
 def test_predicted_reproduces_explicit_3d(which, variant, j, gamma):
-    explicit = explicit_3d_operator(which, gamma)
+    explicit = PRINTED_OPERATORS[which][1](gamma)
     for n in range(4):
         pred = predicted_m_action(variant, j, n, 3, gamma)
         assert pred.matrix_on_level(n) == explicit.matrix_on_level(n), n
@@ -357,26 +371,13 @@ def test_predicted_reproduces_explicit_3d(which, variant, j, gamma):
 def test_predicted_coefficients_match_shift_by_shift():
     explicit = b23_operator(G_3)
     pred = predicted_m_action("minus", 3, 3, 3, G_3)
-    shifts = set(explicit.shifts()) | set(pred.shifts())
+    shifts = {t.shift for t in explicit.terms} | {t.shift for t in pred.terms}
     for nu in level_indices(3, 3):
         for shift in shifts:
             assert explicit.coefficient(shift, nu) == pred.coefficient(shift, nu), (
                 nu,
                 shift,
             )
-
-
-def test_explicit_dispatch_validates():
-    with pytest.raises(ValueError):
-        explicit_3d_operator("B99", G_3)
-
-
-def test_racah_json_shape():
-    payload = b12_operator(G0_2).to_json(1)
-    assert payload["name"] == "B12"
-    assert {tuple(t["shift"]) for t in payload["terms"]} == {(-1, 1), (0, 0), (1, -1)}
-    for term in payload["terms"]:
-        assert all(set(s) == {"nu", "value"} for s in term["coef_at"])
 
 
 def _level_outcome(evaluate):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from simplexalg.scalar import Rat, as_rat, is_int_leq, is_integer, pochhammer, rat_str
+from simplexalg.scalar import Rat, as_rat, is_int_leq, pochhammer, rat_str
 
 
 def test_as_rat_accepts_exact_forms():
@@ -22,6 +22,13 @@ def test_as_rat_rejects_floats_and_decimals():
         as_rat("1e-3")
 
 
+def test_as_rat_names_a_zero_denominator():
+    with pytest.raises(ValueError, match="'1/0' has a zero denominator"):
+        as_rat("1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_rat(" -3/00 ")
+
+
 def test_rat_str_lowest_terms():
     assert rat_str(as_rat("4/8")) == "1/2"
     assert rat_str(as_rat("-6/3")) == "-2"
@@ -38,8 +45,6 @@ def test_pochhammer():
 
 
 def test_integer_predicates():
-    assert is_integer(as_rat("6/3"))
-    assert not is_integer(Rat(1, 2))
     assert is_int_leq(-1, -1)
     assert is_int_leq(-5, -1)
     assert not is_int_leq(0, -1)
