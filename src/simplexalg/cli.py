@@ -79,6 +79,13 @@ def require_nonnegative(flag: str, values) -> tuple:
     return values
 
 
+def require_positive(flag: str, value: int) -> int:
+    """Worker counts are >= 1."""
+    if value < 1:
+        raise UsageError(f"{flag} = {value} is below 1; {flag} must be >= 1")
+    return value
+
+
 def build_operator(name: str, d: int, n: int, gamma: ParamVector):
     """Resolve an operator name to a DiffOp or RacahOp."""
     if name == "Ltot":
@@ -203,8 +210,11 @@ class RunConfig:
     def run(self):
         cells, skipped = self.cells()
         if self.workers > 1:
+            # the cells of one (d, gamma) are consecutive, one per degree; a
+            # chunk of them runs in one worker, whose caches hold that gamma's
+            # n-independent verdicts and moments
             with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                results = list(pool.map(_run_cell, cells))
+                results = list(pool.map(_run_cell, cells, chunksize=len(self.n_values)))
         else:
             results = [_run_cell(cell) for cell in cells]
         return results, skipped
@@ -263,7 +273,7 @@ def cmd_verify(args) -> int:
         mode=args.mode,
         gamma=gamma,
         out=args.out,
-        workers=args.workers,
+        workers=require_positive("workers", args.workers),
     )
     try:
         results, _ = config.run()
@@ -300,7 +310,7 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
         draws=args.draws,
         out=args.out,
-        workers=args.workers,
+        workers=require_positive("workers", args.workers),
     )
     results, skipped = config.run()
     reports = []

@@ -22,13 +22,13 @@ anticommutator identities become literal equality of expanded data.
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm, perm
 from typing import Mapping
 
 from .errors import DimensionMismatch
 from .params import require_valid
 from .poly import MultiPoly
-from .scalar import as_rat
+from .scalar import Rat, as_rat
 
 
 class DiffOp:
@@ -57,6 +57,14 @@ class DiffOp:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def _raw(cls, dim: int, terms: dict) -> "DiffOp":
+        """Trusted constructor: ``terms`` is already canonical (internal use)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
     def zero(cls, dim: int) -> "DiffOp":
         return cls(dim)
 
@@ -80,14 +88,15 @@ class DiffOp:
         self._check_dim(other)
         out = dict(self.terms)
         for deriv, coefficient in other.terms.items():
-            if deriv in out:
-                out[deriv] = out[deriv] + coefficient
+            total = out[deriv] + coefficient if deriv in out else coefficient
+            if total:
+                out[deriv] = total
             else:
-                out[deriv] = coefficient
-        return DiffOp(self.dim, out)
+                del out[deriv]
+        return DiffOp._raw(self.dim, out)
 
     def __neg__(self) -> "DiffOp":
-        return DiffOp(self.dim, {a: -c for a, c in self.terms.items()})
+        return DiffOp._raw(self.dim, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
         return self + (-other)
@@ -103,27 +112,64 @@ class DiffOp:
 
     # -- composition and action --------------------------------------------
 
+    def _numerators(self) -> tuple:
+        """(D, {alpha: [(exponent, N)]}) with every coefficient N / D, N an int."""
+        den = 1
+        for poly in self.terms.values():
+            for c in poly.terms.values():
+                den = lcm(den, c.denominator)
+        return den, {
+            alpha: [(e, c.numerator * (den // c.denominator)) for e, c in poly.terms.items()]
+            for alpha, poly in self.terms.items()
+        }
+
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
-        """Operator composition (self after other) via the Leibniz rule."""
+        """Operator composition (self after other) via the Leibniz rule,
+
+            p d^alpha o q d^beta
+                = sum_{delta <= alpha} C(alpha, delta) p (d^delta q) d^(alpha-delta+beta),
+
+        in one pass: d^delta x^e = (e)_delta x^(e-delta) with the falling
+        factorial (e)_delta, so every term of the result is an integer weight
+        times one coefficient of p and one of q.  The coefficients are taken
+        over a common denominator, so the accumulation is in integers."""
         self._check_dim(other)
-        out: dict = {}
-        for alpha, p in self.terms.items():
-            deltas = [range(a + 1) for a in alpha]
-            for beta, q in other.terms.items():
-                for delta in product(*deltas):
-                    dq = q.deriv_multi(delta)
-                    if dq.is_zero():
-                        continue
-                    factor = 1
-                    for a, dlt in zip(alpha, delta):
-                        factor *= comb(a, dlt)
-                    coefficient = p * dq if factor == 1 else (p * dq).scale(factor)
+        p_den, p_terms = self._numerators()
+        q_den, q_terms = other._numerators()
+        accumulators: dict = {}
+        for alpha, p in p_terms.items():
+            for delta in product(*(range(a + 1) for a in alpha)):
+                binomial = 1
+                for a, dlt in zip(alpha, delta):
+                    binomial *= comb(a, dlt)
+                for beta, q in q_terms.items():
                     deriv = tuple(a - dlt + b for a, dlt, b in zip(alpha, delta, beta))
-                    if deriv in out:
-                        out[deriv] = out[deriv] + coefficient
-                    else:
-                        out[deriv] = coefficient
-        return DiffOp(self.dim, out)
+                    acc = accumulators.get(deriv)
+                    if acc is None:
+                        acc = accumulators[deriv] = {}
+                    get = acc.get
+                    for e2, n2 in q:
+                        weight = binomial
+                        for e, dlt in zip(e2, delta):
+                            if dlt:
+                                if dlt > e:
+                                    weight = 0
+                                    break
+                                weight *= perm(e, dlt)
+                        if not weight:
+                            continue
+                        weighted = weight * n2
+                        shifted = tuple(e - dlt for e, dlt in zip(e2, delta))
+                        for e1, n1 in p:
+                            exponent = tuple(a + b for a, b in zip(e1, shifted))
+                            acc[exponent] = get(exponent, 0) + n1 * weighted
+        den = p_den * q_den
+        out = {}
+        for deriv, acc in accumulators.items():
+            terms = {exponent: Rat(n, den) for exponent, n in acc.items() if n}
+            if terms:
+                out[deriv] = MultiPoly._raw(self.dim, terms)
+        return DiffOp._raw(self.dim, out)
 
     def apply(self, poly: MultiPoly) -> MultiPoly:
         if poly.dim != self.dim:
@@ -285,15 +331,17 @@ def f_formula(generator, i: int, j: int, k: int, l: int, gamma):
     gi, gj, gk, gl = gamma[i], gamma[j], gamma[k], gamma[l]
     ik, il, jk, jl, kl = (generator(a, b) for a, b in ((i, k), (i, l), (j, k), (j, l), (k, l)))
     jk_kl = commutator(jk, kl)
+    # each of these products enters both a commutator and an anticommutator
+    ik_kl, kl_ik, jl_kl, kl_jl = ik @ kl, kl @ ik, jl @ kl, kl @ jl
     return (
-        anticommutator(jk_kl, commutator(ik, kl))
+        anticommutator(jk_kl, ik_kl - kl_ik)
         - anticommutator(kl, commutator(ik, jk_kl))
         - anticommutator(kl, ik @ jl).scale(2)
-        + commutator(ik, commutator(kl, jl)).scale((1 + gk) * (1 + gl))
-        + anticommutator(ik, kl).scale((1 + gj) * (1 + gl))
+        + commutator(ik, kl_jl - jl_kl).scale((1 + gk) * (1 + gl))
+        + (ik_kl + kl_ik).scale((1 + gj) * (1 + gl))
         + anticommutator(ik, jk).scale(1 - gl * gl)
         + anticommutator(il, jl).scale(1 - gk * gk)
-        + anticommutator(jl, kl).scale((1 + gi) * (1 + gk))
+        + (jl_kl + kl_jl).scale((1 + gi) * (1 + gk))
         - (jk @ il).scale(4)
         + (jl @ ik).scale(2 * (-1 + gk + gl + gk * gl))
         - ik.scale(2 * gk * (1 + gj) * (1 + gl))

@@ -33,6 +33,16 @@ class ExactMatrix:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def _raw(cls, rows: int, cols: int, entries: list) -> "ExactMatrix":
+        """Trusted constructor: ``entries`` is a rows x cols list of lists of
+        ``Rat`` (internal use)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        return self
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls([[0] * cols for _ in range(rows)])
 
@@ -68,22 +78,28 @@ class ExactMatrix:
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_shape(other)
-        return ExactMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
+        return ExactMatrix._raw(
+            self.rows,
+            self.cols,
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
         )
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_shape(other)
-        return ExactMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
+        return ExactMatrix._raw(
+            self.rows,
+            self.cols,
+            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
         )
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-v for v in row] for row in self.entries])
+        return ExactMatrix._raw(self.rows, self.cols, [[-v for v in row] for row in self.entries])
 
     def scale(self, value) -> "ExactMatrix":
         value = as_rat(value)
-        return ExactMatrix([[v * value for v in row] for row in self.entries])
+        return ExactMatrix._raw(
+            self.rows, self.cols, [[v * value for v in row] for row in self.entries]
+        )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -96,7 +112,7 @@ class ExactMatrix:
                 if a:
                     for c, b in pairs:
                         acc[c] += a * b
-        return ExactMatrix(out)
+        return ExactMatrix._raw(self.rows, other.cols, out)
 
     def matvec(self, vector: Sequence) -> list:
         vector = [as_rat(v) for v in vector]

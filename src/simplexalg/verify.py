@@ -19,6 +19,11 @@ Every verification below is an exact rational identity; a check result is
 pass, fail (with a counterexample payload), or degenerate (a difference
 operator denominator vanished for this gamma, recorded, never silently
 skipped).
+
+The operator identities (the kd commutation relations and the operator half of
+the F relation) depend on (d, gamma) alone.  Their verdicts are memoized per
+process, so every level of one gamma after the first reuses them; the caches
+hold verdicts only, never operators or ``CheckResult`` objects.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Sequence
@@ -243,16 +249,27 @@ def verify_separation(ctx: ModuleContext) -> CheckResult:
     return CheckResult("separation", "pass", f"{len(ctx.level)} distinct eigenvalue tuples")
 
 
+#: Most (d, gamma) kd verdicts one process keeps.
+KD_CACHE_SIZE = 64
+#: Most (i, j, k, l, d, gamma) operator-level F verdicts one process keeps.
+F_OPERATOR_CACHE_SIZE = 256
+
+
 def verify_kd(d: int, gamma) -> CheckResult:
     """Pairwise commutativity relations among the generators, fully expanded."""
-    params = require_valid(gamma, d)
+    return CheckResult("kd", *_kd_verdict(d, require_valid(gamma, d)))
+
+
+@lru_cache(maxsize=KD_CACHE_SIZE)
+def _kd_verdict(d: int, params: ParamVector) -> tuple:
+    """(status, details) of ``verify_kd``; it does not depend on n."""
     ops = {
         (i, j): l_operator(i, j, d, params) for i, j in combinations(range(1, d + 2), 2)
     }
     for (i, j), (k, l) in combinations(ops, 2):
         if len({i, j, k, l}) == 4:
             if not commutator(ops[(i, j)], ops[(k, l)]).is_zero():
-                return CheckResult("kd", "fail", f"[L_{(i,j)}, L_{(k,l)}] != 0")
+                return "fail", f"[L_{(i,j)}, L_{(k,l)}] != 0"
     for i, j, k in combinations(range(1, d + 2), 3):
         for a, b, c in ((i, j, k), (i, k, j), (j, k, i)):
             lhs = commutator(
@@ -260,12 +277,12 @@ def verify_kd(d: int, gamma) -> CheckResult:
                 ops[(min(a, c), max(a, c))] + ops[(min(b, c), max(b, c))],
             )
             if not lhs.is_zero():
-                return CheckResult("kd", "fail", f"[L_{(a,b)}, L_{(a,c)}+L_{(b,c)}] != 0")
+                return "fail", f"[L_{(a,b)}, L_{(a,c)}+L_{(b,c)}] != 0"
     ms = [m_operator(j, d, params) for j in range(1, d + 1)]
     for (ji, mi), (jj, mj) in combinations(enumerate(ms, 1), 2):
         if not commutator(mi, mj).is_zero():
-            return CheckResult("kd", "fail", f"[M_{ji}, M_{jj}] != 0")
-    return CheckResult("kd", "pass", f"all commutativity relations hold for d={d}")
+            return "fail", f"[M_{ji}, M_{jj}] != 0"
+    return "pass", f"all commutativity relations hold for d={d}"
 
 
 def verify_matrix_commutation(ctx: ModuleContext) -> CheckResult:
@@ -350,6 +367,13 @@ def _f_index_choices(d: int) -> list:
     return choices
 
 
+@lru_cache(maxsize=F_OPERATOR_CACHE_SIZE)
+def _f_operator_holds(i: int, j: int, k: int, l: int, d: int, gamma: ParamVector) -> bool:
+    """(1-g_k^2)(1-g_l^2) L_{i,j} = F as expanded operators; independent of n."""
+    factor = (1 - gamma[k] ** 2) * (1 - gamma[l] ** 2)
+    return f_combination(i, j, k, l, d, gamma) == l_operator(i, j, d, gamma).scale(factor)
+
+
 def verify_f_relation(ctx: ModuleContext) -> CheckResult:
     """(1-g_k^2)(1-g_l^2) L_{i,j} = F, as expanded operators and as matrices;
     the matrix side is F evaluated on the generator matrices."""
@@ -357,11 +381,11 @@ def verify_f_relation(ctx: ModuleContext) -> CheckResult:
     if d < 3:
         return CheckResult("f-relation", "pass", "vacuous: needs four distinct indices")
     for i, j, k, l in _f_index_choices(d):
-        factor = (1 - gamma[k] ** 2) * (1 - gamma[l] ** 2)
-        if f_combination(i, j, k, l, d, gamma) != l_operator(i, j, d, gamma).scale(factor):
+        if not _f_operator_holds(i, j, k, l, d, gamma):
             return CheckResult(
                 "f-relation", "fail", f"operator identity fails for (i,j,k,l)={(i,j,k,l)}"
             )
+        factor = (1 - gamma[k] ** 2) * (1 - gamma[l] ** 2)
         f_matrix = f_formula(ctx.generator_matrix, i, j, k, l, gamma)
         if factor == 0:
             # divisibility consequence: the combination annihilates the module

@@ -1,0 +1,18 @@
+import pytest
+
+from simplexalg import moments, verify
+
+# the per-process caches of n-independent results
+CACHES = (verify._kd_verdict, verify._f_operator_holds, moments._moment_value)
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty caches before and after the test, for tests that monkeypatch a
+    function a cache calls: no verdict from before the patch is reused, and
+    none computed under it outlives the test."""
+    for cache in CACHES:
+        cache.cache_clear()
+    yield
+    for cache in CACHES:
+        cache.cache_clear()

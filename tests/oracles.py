@@ -13,13 +13,15 @@ expands each generator sum and product from its own differential operator
 instead of adding and multiplying generator matrices, the relations oracle
 compares sums of Jucys-Murphy operators and matrices instead of counting index
 pairs, the rank oracle ranks the generators' actions on monomials instead of
-their coefficients, and the total operator is built from its closed form
-instead of as a pair sum.
+their coefficients, the total operator is built from its closed form
+instead of as a pair sum, and the composition oracle differentiates and
+multiplies whole coefficient polynomials for each Leibniz term instead of
+accumulating weighted monomial products in one pass.
 """
 
 import functools
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from simplexalg.diffops import DiffOp, f_combination, l_operator, m_operator
@@ -30,6 +32,28 @@ from simplexalg.params import ParamVector, check_gamma, require_valid
 from simplexalg.poly import MultiPoly
 from simplexalg.scalar import Rat
 from simplexalg.verify import CheckResult
+
+
+def compose_oracle(a: DiffOp, b: DiffOp) -> DiffOp:
+    """a after b by the Leibniz rule, one MultiPoly product per (alpha, beta, delta)."""
+    out: dict = {}
+    for alpha, p in a.terms.items():
+        deltas = [range(e + 1) for e in alpha]
+        for beta, q in b.terms.items():
+            for delta in product(*deltas):
+                dq = q.deriv_multi(delta)
+                if dq.is_zero():
+                    continue
+                factor = 1
+                for e, dlt in zip(alpha, delta):
+                    factor *= comb(e, dlt)
+                coefficient = p * dq if factor == 1 else (p * dq).scale(factor)
+                deriv = tuple(e - dlt + f for e, dlt, f in zip(alpha, delta, beta))
+                if deriv in out:
+                    out[deriv] = out[deriv] + coefficient
+                else:
+                    out[deriv] = coefficient
+    return DiffOp(a.dim, out)
 
 
 def t_poly_coeffs(p: MultiPoly) -> list:

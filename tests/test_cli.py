@@ -223,6 +223,31 @@ def test_negative_degree_or_draws_is_usage_error(capsys):
     ]
 
 
+def test_workers_below_one_is_usage_error(capsys):
+    assert run_cli("verify", "--gamma", "1/2,1/3,1/5", "--n", "1", "--workers", "0") == EXIT_USAGE
+    assert run_cli("verify", "--gamma", "1/2,1/3,1/5", "--n", "1", "--workers", "-2") == EXIT_USAGE
+    assert run_cli("sweep", "--seed", "1", "--draws", "1", "--workers", "0") == EXIT_USAGE
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.splitlines() == [
+        "usage error: workers = 0 is below 1; workers must be >= 1",
+        "usage error: workers = -2 is below 1; workers must be >= 1",
+        "usage error: workers = 0 is below 1; workers must be >= 1",
+    ]
+
+
+def test_sweep_parallel_workers_deterministic(tmp_path):
+    args = ["sweep", "--seed", "3", "--draws", "3", "--d", "2", "--n", "1,2", "--suite",
+            "spectral,separation,kd"]
+    assert run_cli(*args, "--out", str(tmp_path / "serial")) == EXIT_PASS
+    assert run_cli(*args, "--workers", "2", "--out", str(tmp_path / "pool")) == EXIT_PASS
+    names = sorted(path.name for path in (tmp_path / "serial").iterdir())
+    assert "summary.json" in names and len(names) > 2
+    assert names == sorted(path.name for path in (tmp_path / "pool").iterdir())
+    for name in names:
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
+
+
 def test_degree_zero_is_still_a_cell(capsys):
     assert run_cli("verify", "--gamma", "1/2,1/3,1/5", "--n", "0", "--suite", "relations") == EXIT_PASS
     assert "relations" in capsys.readouterr().out

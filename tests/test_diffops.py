@@ -1,9 +1,16 @@
+import random
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from oracles import generator_rank_oracle, l_total_closed_form, relations_oracle
+from oracles import (
+    compose_oracle,
+    generator_rank_oracle,
+    l_total_closed_form,
+    relations_oracle,
+    sample_valid_gammas,
+)
 from simplexalg.diffops import (
     DiffOp,
     commutator,
@@ -168,6 +175,24 @@ def test_compose_leibniz_against_direct_action():
     for exponent in monomials_upto(3, 2):
         p = MultiPoly.monomial(2, exponent)
         assert composed.apply(p) == a.apply(b.apply(p))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_compose_agrees_with_leibniz_oracle(d):
+    # products and commutators of generators, and third-order products of
+    # commutators (fourth-order left factors, as inside F)
+    gamma = sample_valid_gammas(40 + d, d, 1)[0]
+    generators = [l_operator(i, j, d, gamma) for i, j in combinations(range(1, d + 2), 2)]
+    for a in generators:
+        for b in generators:
+            assert a @ b == compose_oracle(a, b)
+    rng = random.Random(d)
+    for _ in range(6):
+        a, b, c = (rng.choice(generators) for _ in range(3))
+        ab = commutator(a, b)
+        assert ab == compose_oracle(a, b) - compose_oracle(b, a)
+        assert ab @ c == compose_oracle(ab, c)
+        assert c @ ab == compose_oracle(c, ab)
 
 
 @pytest.mark.parametrize(

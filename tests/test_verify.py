@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -380,3 +381,85 @@ def test_first_d6_racah_cell_passes(n):
     gamma = ParamVector([Rat(1, p) for p in (2, 3, 5, 7, 11, 13, 17)])
     result = verify_difference_action(ModuleContext(6, n, gamma))
     assert result.status == "pass", result.details
+
+
+def _counting(monkeypatch, owner, name, key):
+    """Replace owner.name by a wrapper that counts its calls by ``key(*args)``."""
+    calls = Counter()
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls[key(*args)] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_operator_identities_run_once_per_gamma(monkeypatch, fresh_caches):
+    # the F operators and kd's commutators depend on (d, gamma) alone
+    f_calls = _counting(monkeypatch, verify, "f_combination", lambda *args: args[:5])
+    kd_calls = _counting(monkeypatch, verify, "commutator", lambda a, b: a.dim)
+    cells = {3: (1, 2, 3), 4: (1, 2)}
+    gammas = {d: sample_valid_gammas(60 + d, d, 1, positive=True)[0] for d in cells}
+    for d, levels in cells.items():
+        for n in levels:
+            report = run_suites(d, n, gammas[d], ("f-relation", "kd"))
+            assert [c.status for c in report.checks] == ["pass"] * 3
+    assert f_calls == {
+        (*choice, d): 1 for d in cells for choice in verify._f_index_choices(d)
+    }
+    # one more uncached kd pass per d adds as many commutators as all levels did
+    all_levels = dict(kd_calls)
+    for d in cells:
+        verify._kd_verdict.__wrapped__(d, gammas[d])
+    assert {d: kd_calls[d] - all_levels[d] for d in cells} == all_levels
+
+
+def test_wrong_f_operator_fails_alike_on_every_level(monkeypatch, fresh_caches):
+    # wrong only for the second index choice: the first choice still passes
+    # both halves, and every level names the second
+    right = verify.f_combination
+
+    def wrong(i, j, k, l, d, gamma):
+        if (i, j, k, l) == (1, d + 1, 2, 3):
+            return l_operator(i, j, d, gamma)
+        return right(i, j, k, l, d, gamma)
+
+    monkeypatch.setattr(verify, "f_combination", wrong)
+    gamma = sample_valid_gammas(61, 3, 1, positive=True)[0]
+    for n in (1, 2, 3):
+        result = verify_f_relation(ModuleContext(3, n, gamma))
+        assert (result.status, result.details) == (
+            "fail", "operator identity fails for (i,j,k,l)=(1, 4, 2, 3)"
+        )
+
+
+def test_kd_results_are_fresh_objects():
+    gamma = sample_valid_gammas(62, 3, 1)[0]
+    first, second = verify_kd(3, gamma), verify_kd(3, gamma)
+    assert first is not second
+    assert (first.name, first.status, first.details) == (second.name, second.status, second.details)
+    first.millis = 123
+    assert verify_kd(3, gamma).millis == 0
+
+
+def test_caches_stay_within_their_sizes(monkeypatch, fresh_caches):
+    # a cheap F so that many gammas fit in the test; the kd body is cheap at d = 2
+    def f_stand_in(i, j, k, l, d, gamma):
+        return l_operator(i, j, d, gamma).scale((1 - gamma[k] ** 2) * (1 - gamma[l] ** 2))
+
+    monkeypatch.setattr(verify, "f_combination", f_stand_in)
+    f_gammas = sample_valid_gammas(63, 3, verify.F_OPERATOR_CACHE_SIZE // 2 + 10)
+    for gamma in f_gammas:
+        assert verify_f_relation(ModuleContext(3, 0, gamma)).status == "pass"
+    for gamma in sample_valid_gammas(64, 2, verify.KD_CACHE_SIZE + 10):
+        assert verify_kd(2, gamma).status == "pass"
+    for cache, size in (
+        (verify._f_operator_holds, verify.F_OPERATOR_CACHE_SIZE),
+        (verify._kd_verdict, verify.KD_CACHE_SIZE),
+    ):
+        info = cache.cache_info()
+        assert info.maxsize == size
+        assert info.currsize == size
+        assert info.misses > size
