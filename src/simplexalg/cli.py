@@ -210,11 +210,14 @@ class RunConfig:
     def run(self):
         cells, skipped = self.cells()
         if self.workers > 1:
-            # the cells of one (d, gamma) are consecutive, one per degree; a
-            # chunk of them runs in one worker, whose caches hold that gamma's
-            # n-independent verdicts and moments
+            # the cells of one (d, gamma) are consecutive, one per degree.  With
+            # a group for every worker, a group runs as one chunk in one worker,
+            # whose caches then serve all its levels; with fewer groups, each
+            # level is its own chunk so that all workers stay busy
+            per_group = len(self.n_values)
+            chunksize = per_group if len(cells) >= per_group * self.workers else 1
             with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                results = list(pool.map(_run_cell, cells, chunksize=len(self.n_values)))
+                results = list(pool.map(_run_cell, cells, chunksize=chunksize))
         else:
             results = [_run_cell(cell) for cell in cells]
         return results, skipped

@@ -152,9 +152,6 @@ class DiffOp:
                         weight = binomial
                         for e, dlt in zip(e2, delta):
                             if dlt:
-                                if dlt > e:
-                                    weight = 0
-                                    break
                                 weight *= perm(e, dlt)
                         if not weight:
                             continue

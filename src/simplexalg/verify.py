@@ -368,9 +368,9 @@ def _f_index_choices(d: int) -> list:
 
 
 @lru_cache(maxsize=F_OPERATOR_CACHE_SIZE)
-def _f_operator_holds(i: int, j: int, k: int, l: int, d: int, gamma: ParamVector) -> bool:
-    """(1-g_k^2)(1-g_l^2) L_{i,j} = F as expanded operators; independent of n."""
-    factor = (1 - gamma[k] ** 2) * (1 - gamma[l] ** 2)
+def _f_operator_holds(i: int, j: int, k: int, l: int, gamma: ParamVector, factor: Rat) -> bool:
+    """factor * L_{i,j} = F as expanded operators; independent of n."""
+    d = gamma.d
     return f_combination(i, j, k, l, d, gamma) == l_operator(i, j, d, gamma).scale(factor)
 
 
@@ -381,11 +381,11 @@ def verify_f_relation(ctx: ModuleContext) -> CheckResult:
     if d < 3:
         return CheckResult("f-relation", "pass", "vacuous: needs four distinct indices")
     for i, j, k, l in _f_index_choices(d):
-        if not _f_operator_holds(i, j, k, l, d, gamma):
+        factor = (1 - gamma[k] ** 2) * (1 - gamma[l] ** 2)
+        if not _f_operator_holds(i, j, k, l, gamma, factor):
             return CheckResult(
                 "f-relation", "fail", f"operator identity fails for (i,j,k,l)={(i,j,k,l)}"
             )
-        factor = (1 - gamma[k] ** 2) * (1 - gamma[l] ** 2)
         f_matrix = f_formula(ctx.generator_matrix, i, j, k, l, gamma)
         if factor == 0:
             # divisibility consequence: the combination annihilates the module

@@ -16,3 +16,11 @@ def fresh_caches():
     yield
     for cache in CACHES:
         cache.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_caches_under_monkeypatch(request):
+    """Every test that monkeypatches runs with fresh caches, so that what it
+    patches can neither read a cached verdict nor leave one behind."""
+    if "monkeypatch" in request.fixturenames:
+        request.getfixturevalue("fresh_caches")

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from simplexalg import cli
 from simplexalg.cli import (
     EXIT_DEGENERATE,
     EXIT_FAIL,
@@ -246,6 +247,40 @@ def test_sweep_parallel_workers_deterministic(tmp_path):
     assert names == sorted(path.name for path in (tmp_path / "pool").iterdir())
     for name in names:
         assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
+
+
+class _SerialPool:
+    """Stand-in for ProcessPoolExecutor that records each map's chunk size."""
+
+    chunksizes = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        self.chunksizes.append(chunksize)
+        return map(fn, items)
+
+
+def test_workers_chunk_by_gamma_only_with_a_group_per_worker(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "chunksizes", [])
+    # verify has one (d, gamma) group: each level is its own chunk
+    verify_args = ["verify", "--gamma", "1/2,1/3,1/5", "--n", "1,2,3", "--suite", "spectral"]
+    assert run_cli(*verify_args, "--workers", "2") == EXIT_PASS
+    # a sweep over four gammas at one d has a group for each of two workers
+    sweep_args = ["sweep", "--seed", "3", "--draws", "4", "--d", "2", "--n", "1,2",
+                  "--suite", "spectral", "--out", str(tmp_path)]
+    assert run_cli(*sweep_args, "--workers", "2") == EXIT_PASS
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert len(summary["skipped"]) <= 2
+    assert _SerialPool.chunksizes == [1, 2]
 
 
 def test_degree_zero_is_still_a_cell(capsys):
