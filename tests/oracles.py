@@ -14,9 +14,12 @@ instead of adding and multiplying generator matrices, the relations oracle
 compares sums of Jucys-Murphy operators and matrices instead of counting index
 pairs, the rank oracle ranks the generators' actions on monomials instead of
 their coefficients, the total operator is built from its closed form
-instead of as a pair sum, and the composition oracle differentiates and
+instead of as a pair sum, the composition oracle differentiates and
 multiplies whole coefficient polynomials for each Leibniz term instead of
-accumulating weighted monomial products in one pass.
+accumulating weighted monomial products in one pass, and the F relation and
+commutation oracles evaluate F and the commutators on the generator matrices
+of one level instead of reporting the operator identities that hold for
+every level.
 """
 
 import functools
@@ -24,14 +27,14 @@ import random
 from itertools import combinations, product
 from math import comb
 
-from simplexalg.diffops import DiffOp, f_combination, l_operator, m_operator
+from simplexalg.diffops import DiffOp, f_combination, f_formula, l_operator, m_operator
 from simplexalg.jacobi import graded_indices, jacobi1d, jacobi_simplex, monomials_upto
 from simplexalg.linalg import ExactMatrix, SpanBasis
 from simplexalg.moments import inner_product
 from simplexalg.params import ParamVector, check_gamma, require_valid
 from simplexalg.poly import MultiPoly
 from simplexalg.scalar import Rat
-from simplexalg.verify import CheckResult
+from simplexalg.verify import CheckResult, _f_index_choices
 
 
 def compose_oracle(a: DiffOp, b: DiffOp) -> DiffOp:
@@ -337,3 +340,47 @@ def relations_oracle(ctx) -> CheckResult:
             "relations", "fail", f"generator rank {rank} != C(d+1,2) = {comb(d + 1, 2)}"
         )
     return CheckResult("relations", "pass", f"recovery, dependence, closure, rank {rank} verified")
+
+
+def f_relation_matrix_oracle(ctx) -> CheckResult:
+    """(1-g_k^2)(1-g_l^2) L_{i,j} = F on the level of ``ctx``, with F evaluated
+    on the generator matrices; where the factor is 0, F must be the zero matrix."""
+    d, gamma = ctx.d, ctx.gamma
+    if d < 3:
+        return CheckResult("f-relation", "pass", "vacuous: needs four distinct indices")
+    choices = _f_index_choices(d)
+    for i, j, k, l in choices:
+        factor = (1 - gamma[k] ** 2) * (1 - gamma[l] ** 2)
+        f_matrix = f_formula(ctx.generator_matrix, i, j, k, l, gamma)
+        if factor == 0:
+            if not f_matrix.is_zero():
+                return CheckResult(
+                    "f-relation",
+                    "fail",
+                    f"F at (i,j,k,l)={(i,j,k,l)} nonzero although (1-g_k^2)(1-g_l^2)=0",
+                )
+            continue
+        if f_matrix != ctx.generator_matrix(i, j).scale(factor):
+            return CheckResult(
+                "f-relation", "fail", f"matrix identity fails for (i,j,k,l)={(i,j,k,l)}"
+            )
+    return CheckResult("f-relation", "pass", f"{len(choices)} index choices")
+
+
+def matrix_commutation_oracle(ctx) -> CheckResult:
+    """[M_i, M_j] = 0 and [L_{i,j}, L_{k,l}] = 0 for disjoint pairs, by
+    multiplying the matrices on the level of ``ctx``."""
+    d = ctx.d
+    for i, j in combinations(range(1, d + 1), 2):
+        a, b = ctx.m_matrix(i), ctx.m_matrix(j)
+        if a @ b != b @ a:
+            return CheckResult("kd-matrix", "fail", f"[M_{i}, M_{j}] != 0 on the module")
+    pairs = list(combinations(range(1, d + 2), 2))
+    for (i, j), (k, l) in combinations(pairs, 2):
+        if len({i, j, k, l}) == 4:
+            a, b = ctx.generator_matrix(i, j), ctx.generator_matrix(k, l)
+            if a @ b != b @ a:
+                return CheckResult(
+                    "kd-matrix", "fail", f"[L_({i},{j}), L_({k},{l})] != 0 on the module"
+                )
+    return CheckResult("kd-matrix", "pass", "matrix commutation relations hold")

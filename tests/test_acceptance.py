@@ -107,7 +107,9 @@ def test_criterion_03_difference_equals_differential():
 
 
 def test_criterion_04_f_relation():
-    """(1-g_k^2)(1-g_l^2) L_{i,j} = F as operators and as matrices, n <= 3."""
+    """(1-g_k^2)(1-g_l^2) L_{i,j} = F as operators, on levels n <= 3 whose
+    generator matrices show that each generator preserves the level, so that
+    the identity holds among the matrices too."""
     ok = True
     for d, seed in ((3, 400), (4, 410)):
         gammas = sample_valid_gammas(seed, d, 5)

@@ -1,16 +1,27 @@
 """Matrices of generator sums and products, added and multiplied from the
 generator matrices, against the oracle that expands each from its own
-differential operator."""
+differential operator; and the F relation and commutation checks, which
+report operator identities, against oracles that multiply the matrices."""
 
 from itertools import combinations
 
 import pytest
 
-from oracles import operator_matrix_oracle, sample_valid_gammas
+from oracles import (
+    f_relation_matrix_oracle,
+    matrix_commutation_oracle,
+    operator_matrix_oracle,
+    sample_valid_gammas,
+)
 from simplexalg.diffops import f_formula
 from simplexalg.params import ParamVector
 from simplexalg.scalar import Rat
-from simplexalg.verify import ModuleContext, _f_index_choices
+from simplexalg.verify import (
+    ModuleContext,
+    _f_index_choices,
+    verify_f_relation,
+    verify_matrix_commutation,
+)
 
 SEEDED = [(d, n, 700 + d) for d in (2, 3, 4) for n in (1, 2, 3)] + [(5, 1, 705), (5, 2, 705)]
 
@@ -59,3 +70,33 @@ def test_generator_algebra_equals_expanded_operators(d, n, gamma):
     assert got.keys() == expected.keys()
     for key in expected:
         assert got[key] == expected[key], key
+
+
+# gamma_1 = 1, criterion 04's edge: the F factor of the choice (2, 3, 1, d+1) is 0
+EDGE = [Rat(1), Rat(1, 3), Rat(1, 4), Rat(1, 5), Rat(1, 7)]
+
+AGREEMENT_CELLS = [
+    pytest.param(d, n, sample_valid_gammas(700 + d, d, 1)[0], id=f"seeded-d{d}-n{n}")
+    for d in (3, 4)
+    for n in (1, 2)
+] + [
+    pytest.param(d, n, ParamVector(EDGE[: d + 1]), id=f"factor-zero-d{d}-n{n}")
+    for d in (3, 4)
+    for n in (1, 2)
+] + [
+    pytest.param(FIXED[name][0], n, ParamVector(FIXED[name][1]), id=f"{name}-n{n}")
+    for name in ("wrong-fail-a", "wrong-fail-b")
+    for n in (1, 2)
+]
+
+
+@pytest.mark.parametrize("d, n, gamma", AGREEMENT_CELLS)
+def test_matrix_oracles_pass_where_the_operator_verdicts_pass(d, n, gamma):
+    ctx = ModuleContext(d, n, gamma)
+    for check, oracle in (
+        (verify_f_relation, f_relation_matrix_oracle),
+        (verify_matrix_commutation, matrix_commutation_oracle),
+    ):
+        result = check(ctx)
+        assert result.status == "pass", result.details
+        assert oracle(ctx).to_json() == result.to_json()

@@ -53,6 +53,18 @@ def test_no_suite_builds_a_dense_inverse(monkeypatch):
     assert report.ok
 
 
+def test_no_suite_multiplies_matrices(monkeypatch):
+    # the F relation and the commutation relations follow on each invariant
+    # level from the operator identities, so no suite multiplies matrices
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix product in a suite")
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", refuse)
+    gamma = (Rat(1, 2), Rat(1, 3), Rat(1, 5), Rat(1, 7), Rat(1, 11))
+    assert run_suites(3, 2, gamma[:4], SUITES, "strict").ok
+    assert run_suites(4, 1, gamma, SUITES, "strict").ok
+
+
 def test_suites_expand_only_generator_matrices(monkeypatch):
     # every other differential matrix is a sum or product of generator matrices
     names = []

@@ -417,8 +417,8 @@ def test_operator_identities_run_once_per_gamma(monkeypatch, fresh_caches):
 
 
 def test_wrong_f_operator_fails_alike_on_every_level(monkeypatch, fresh_caches):
-    # wrong only for the second index choice: the first choice still passes
-    # both halves, and every level names the second
+    # wrong only for the second index choice: the first choice still passes,
+    # and every level names the second
     right = verify.f_combination
 
     def wrong(i, j, k, l, d, gamma):
@@ -433,6 +433,26 @@ def test_wrong_f_operator_fails_alike_on_every_level(monkeypatch, fresh_caches):
         assert (result.status, result.details) == (
             "fail", "operator identity fails for (i,j,k,l)=(1, 4, 2, 3)"
         )
+
+
+def test_kd_operator_mutant_fails_kd_and_kd_matrix_on_every_level(monkeypatch):
+    # 2 L_{1,2} keeps every level invariant but breaks [L_{1,3}, L_{1,2}+L_{2,3}] = 0
+    right = verify.l_operator
+
+    def doubled(i, j, d, gamma):
+        op = right(i, j, d, gamma)
+        return op.scale(2) if {i, j} == {1, 2} else op
+
+    monkeypatch.setattr(verify, "l_operator", doubled)
+    gamma = sample_valid_gammas(65, 3, 1, positive=True)[0]
+    kd_details = "[L_(1, 3), L_(1, 2)+L_(3, 2)] != 0"
+    for n in (1, 2, 3):
+        report = run_suites(3, n, gamma, ("kd",))
+        assert [(c.name, c.status, c.details) for c in report.checks] == [
+            ("kd", "fail", kd_details),
+            ("kd-matrix", "fail", f"operator identity fails: {kd_details}"),
+        ]
+        assert oracles.matrix_commutation_oracle(ModuleContext(3, n, gamma)).status == "fail"
 
 
 def test_kd_results_are_fresh_objects():
