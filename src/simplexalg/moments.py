@@ -12,23 +12,14 @@ For an exponent multi-index m of length d+1 (the last slot counting powers of
 an exact rational for rational gamma.  The induced bilinear form makes the
 simplex Jacobi polynomials mutually orthogonal; for gamma_j > -1 it is the
 genuine integral inner product.
-
-A moment depends on (m, gamma) alone, so its value is memoized per process
-and every level of one gamma reuses it.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .errors import DimensionMismatch
 from .params import require_valid
 from .poly import MultiPoly
 from .scalar import Rat, pochhammer
-
-
-#: Most distinct (m, gamma) moments one process keeps.
-MOMENT_CACHE_SIZE = 1 << 13
 
 
 def simplex_moment(m, gamma) -> Rat:
@@ -39,11 +30,6 @@ def simplex_moment(m, gamma) -> Rat:
     params = require_valid(gamma)
     if len(m) != len(params):
         raise DimensionMismatch(f"moment index length {len(m)} != {len(params)} parameters")
-    return _moment_value(m, params)
-
-
-@lru_cache(maxsize=MOMENT_CACHE_SIZE)
-def _moment_value(m: tuple, params) -> Rat:
     d = params.d
     numerator = Rat(1)
     for i in range(d + 1):
@@ -62,8 +48,3 @@ def inner_product(p: MultiPoly, q: MultiPoly, gamma) -> Rat:
     for exponent, coefficient in product.terms.items():
         total += coefficient * simplex_moment(exponent + (0,), params)
     return total
-
-
-def gram_diagonal(polys, gamma) -> list:
-    """[<p, p>] for each p: the diagonal Gram matrix of an orthogonal family."""
-    return [inner_product(p, p, gamma) for p in polys]

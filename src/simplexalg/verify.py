@@ -46,7 +46,6 @@ from .diffops import l_operator, m_operator, m_pairs, pair_counts
 from .errors import DegenerateParameter, ExactAlgebraError, InvariantViolation
 from .jacobi import graded_indices, jacobi_simplex, level_indices, lex_lead
 from .linalg import ExactMatrix, SpanBasis
-from .moments import gram_diagonal, inner_product
 from .params import ParamVector, require_valid
 from .poly import MultiPoly
 from .racah import (
@@ -227,30 +226,43 @@ def _timed(fn: Callable[[], CheckResult]) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+def _eigen_defect(ctx: ModuleContext, indices: Sequence) -> str | None:
+    """The first failure of M_j P_nu = lambda_j(nu) P_nu over ``indices``, or
+    None when every one holds."""
+    for j in range(1, ctx.d + 1):
+        op = m_operator(j, ctx.d, ctx.gamma)
+        for nu in indices:
+            expected = ctx.polys[nu].scale(eigenvalue(j, nu, ctx.gamma))
+            if op.apply(ctx.polys[nu]) != expected:
+                return f"M_{j} P_{nu} != lambda_{j}({nu}) P_{nu}"
+    return None
+
+
+def _shared_spectrum(indices: Sequence, gamma: ParamVector) -> str | None:
+    """The first two of ``indices`` with equal (lambda_1..lambda_d), or None."""
+    seen = {}
+    for nu in indices:
+        key = tuple(eigenvalue(j, nu, gamma) for j in range(1, len(nu) + 1))
+        if key in seen:
+            return f"indices {seen[key]} and {nu} share eigenvalues"
+        seen[key] = nu
+    return None
+
+
 def verify_spectral(ctx: ModuleContext) -> CheckResult:
     """M_j P_nu = lambda_j(nu) P_nu at the polynomial level.  Column nu of the
     matrix of M_j is then lambda_j(nu) e_nu, so the matrix is diagonal."""
-    for j in range(1, ctx.d + 1):
-        op = m_operator(j, ctx.d, ctx.gamma)
-        for nu in ctx.level:
-            expected = ctx.polys[nu].scale(eigenvalue(j, nu, ctx.gamma))
-            if op.apply(ctx.polys[nu]) != expected:
-                return CheckResult(
-                    "spectral", "fail", f"M_{j} P_{nu} != lambda_{j}({nu}) P_{nu}"
-                )
+    defect = _eigen_defect(ctx, ctx.level)
+    if defect:
+        return CheckResult("spectral", "fail", defect)
     return CheckResult("spectral", "pass", f"{ctx.d} commuting operators on {len(ctx.level)} indices")
 
 
 def verify_separation(ctx: ModuleContext) -> CheckResult:
     """(lambda_1..lambda_d) separates the degree indices of the level."""
-    seen = {}
-    for nu in ctx.level:
-        key = tuple(eigenvalue(j, nu, ctx.gamma) for j in range(1, ctx.d + 1))
-        if key in seen:
-            return CheckResult(
-                "separation", "fail", f"indices {seen[key]} and {nu} share eigenvalues"
-            )
-        seen[key] = nu
+    defect = _shared_spectrum(ctx.level, ctx.gamma)
+    if defect:
+        return CheckResult("separation", "fail", defect)
     return CheckResult("separation", "pass", f"{len(ctx.level)} distinct eigenvalue tuples")
 
 
@@ -389,45 +401,80 @@ def verify_f_relation(ctx: ModuleContext) -> CheckResult:
     return CheckResult("f-relation", "pass", f"{len(choices)} index choices")
 
 
-def verify_selfadjoint_orthogonal(ctx: ModuleContext) -> CheckResult:
-    """Orthogonality of the family and self-adjointness of every generator."""
-    generators = [
-        l_operator(i, j, ctx.d, ctx.gamma) for i, j in combinations(range(1, ctx.d + 2), 2)
+def _symmetry_defect(op: DiffOp, gamma: ParamVector) -> str | None:
+    """Why ``op`` is not formally symmetric for the simplex weight
+    w = x_1^{g_1} ... x_d^{g_d} (1-|x|)^{g_{d+1}}, or None when it is.
+
+    Read op as sum_{a,b} A_ab d_a d_b + sum_a B_a d_a with A symmetric (an
+    order-0 term multiplies, which is symmetric).  It is the divergence form
+    w^{-1} sum_{a,b} d_b (w A_ab d_a) when, with X = x_1...x_d (1-|x|),
+
+        B_a X = sum_b (d_b A_ab) X + sum_b A_ab (g_b X / x_b - g_{d+1} x_1...x_d).
+
+    Integration by parts then leaves the flux of w A through the faces, which
+    vanishes for every g_j > -1 when A_ab vanishes on x_a = 0 and each column
+    sum of A vanishes on |x| = 1."""
+    d = op.dim
+    zero = MultiPoly.zero(d)
+    second = [[zero] * d for _ in range(d)]
+    first = [zero] * d
+    for deriv, coefficient in op.terms.items():
+        axes = [a for a, e in enumerate(deriv) for _ in range(e)]
+        if len(axes) > 2:
+            return f"order-{len(axes)} term at derivative {deriv}"
+        if len(axes) == 2:
+            a, b = axes
+            second[a][b] = second[b][a] = coefficient if a == b else coefficient.scale(Rat(1, 2))
+        elif axes:
+            first[axes[0]] = coefficient
+    corner = MultiPoly.monomial(d, (1,) * d)
+    edge = 1 - sum(MultiPoly.variable(d, k) for k in range(d))
+    volume = corner * edge
+    # X d_b log w, with X / x_b = (d_b corner) edge
+    log_derivatives = [
+        (corner.deriv(b) * edge).scale(gamma[b + 1]) - corner.scale(gamma[d + 1]) for b in range(d)
     ]
-    return _orthogonal_selfadjoint(ctx, generators)
+    for a in range(d):
+        rhs = zero
+        for b, entry in enumerate(second[a]):
+            rhs = rhs + entry.deriv(b) * volume + entry * log_derivatives[b]
+        if first[a] * volume != rhs:
+            return f"the d_{a + 1} coefficient breaks the divergence form"
+    for a in range(d):
+        for b, entry in enumerate(second[a]):
+            if any(exponent[a] == 0 for exponent in entry.terms):
+                return f"A_({a + 1},{b + 1}) does not vanish on x_{a + 1} = 0"
+    face = edge + MultiPoly.variable(d, d - 1)  # x_d on |x| = 1
+    for b in range(d):
+        if sum(second[b], zero).subs_var(d - 1, face):
+            return f"column {b + 1} of A does not vanish on |x| = 1"
+    return None
 
 
-def _orthogonal_selfadjoint(ctx: ModuleContext, operators: Sequence[DiffOp]) -> CheckResult:
-    """Pairwise orthogonality of {P_mu : |mu| <= n}, then Gram-twisted
-    symmetry G A = A^T G of each operator's matrix A on that family, with
-    G = diag(<P_mu, P_mu>).  Given orthogonality, (G A)[a, b] = <P_a, L P_b>
-    and (A^T G)[a, b] = <L P_a, P_b>, so this is self-adjointness itself."""
+def verify_selfadjoint_orthogonal(ctx: ModuleContext) -> CheckResult:
+    """Self-adjointness of every generator and orthogonality of the graded
+    family {P_mu : |mu| <= n}, by the classical proof route: each generator
+    is formally symmetric for the simplex weight, so for gamma_j > -1 it and
+    each Jucys-Murphy sum M_j are self-adjoint, and the P_mu are joint
+    eigenvectors of the M_j with distinct eigenvalue tuples.  No inner
+    product is computed."""
     gamma = ctx.gamma
     if not all(gamma[j] > -1 for j in range(1, ctx.d + 2)):
         return CheckResult(
             "orthogonality", "degenerate", "requires gamma_j > -1 for the integral form"
         )
-    indices = ctx.graded
-    polys = [ctx.polys[nu] for nu in indices]
-    for a in range(len(polys)):
-        for b in range(a + 1, len(polys)):
-            if inner_product(polys[a], polys[b], gamma) != 0:
-                return CheckResult(
-                    "orthogonality", "fail", f"<P_{indices[a]}, P_{indices[b]}> != 0"
-                )
-    gram = gram_diagonal(polys, gamma)
-    for op_index, op in enumerate(operators):
-        columns = [ctx.expand(op.apply(p)) for p in polys]  # columns[b][a] = A[a, b]
-        for a in range(len(polys)):
-            for b in range(a, len(polys)):
-                if gram[a] * columns[b][a] != columns[a][b] * gram[b]:
-                    return CheckResult(
-                        "orthogonality",
-                        "fail",
-                        f"generator #{op_index} not self-adjoint at ({indices[a]}, {indices[b]})",
-                    )
+    pairs = list(combinations(range(1, ctx.d + 2), 2))
+    for i, j in pairs:
+        defect = _symmetry_defect(l_operator(i, j, ctx.d, gamma), gamma)
+        if defect:
+            return CheckResult(
+                "orthogonality", "fail", f"L_({i},{j}) is not symmetric for the weight: {defect}"
+            )
+    defect = _eigen_defect(ctx, ctx.graded) or _shared_spectrum(ctx.graded, gamma)
+    if defect:
+        return CheckResult("orthogonality", "fail", defect)
     return CheckResult(
-        "orthogonality", "pass", f"{len(indices)} family members, {len(operators)} generators"
+        "orthogonality", "pass", f"{len(ctx.graded)} family members, {len(pairs)} generators"
     )
 
 

@@ -4,9 +4,11 @@ Everything here deliberately takes a different route from the library code it
 checks: the product-formula references expand through powers of t instead of
 powers of (1-t)/2, the moment oracle integrates monomials literally by
 iterated antiderivatives instead of using the closed Pochhammer form, the
-self-adjointness oracle compares polynomial inner products instead of the
-Gram-twisted symmetry of expansion matrices, the orbit oracle grows each
-orbit by exact elimination instead of walking the nonzero pattern, the
+orthogonality and self-adjointness oracle compares polynomial inner products
+instead of checking that each generator is formally symmetric for the weight
+and that the Jucys-Murphy operators have a simple joint spectrum on the
+family, the orbit oracle grows each orbit by exact elimination instead of
+walking the nonzero pattern, the
 expansion oracle multiplies by the inverse of the dense basis matrix instead
 of substituting along the lex-triangular leads, the operator-matrix oracle
 expands each generator sum and product from its own differential operator
@@ -30,7 +32,7 @@ from math import comb
 from simplexalg.diffops import DiffOp, f_combination, f_formula, l_operator, m_operator
 from simplexalg.jacobi import graded_indices, jacobi1d, jacobi_simplex, monomials_upto
 from simplexalg.linalg import ExactMatrix, SpanBasis
-from simplexalg.moments import inner_product
+from simplexalg.moments import simplex_moment
 from simplexalg.params import ParamVector, check_gamma, require_valid
 from simplexalg.poly import MultiPoly
 from simplexalg.scalar import Rat
@@ -172,11 +174,17 @@ def selfadjoint_orthogonal_oracle(ctx, operators) -> CheckResult:
         return CheckResult(
             "orthogonality", "degenerate", "requires gamma_j > -1 for the integral form"
         )
+    # moments.inner_product, with each simplex moment computed once per call
+    moment = functools.lru_cache(maxsize=None)(lambda m: simplex_moment(m + (0,), gamma))
+
+    def inner(p, q):
+        return sum((c * moment(m) for m, c in (p * q).terms.items()), Rat(0))
+
     indices = ctx.graded
     polys = [ctx.polys[nu] for nu in indices]
     for a in range(len(polys)):
         for b in range(a + 1, len(polys)):
-            if inner_product(polys[a], polys[b], gamma) != 0:
+            if inner(polys[a], polys[b]) != 0:
                 return CheckResult(
                     "orthogonality", "fail", f"<P_{indices[a]}, P_{indices[b]}> != 0"
                 )
@@ -184,8 +192,8 @@ def selfadjoint_orthogonal_oracle(ctx, operators) -> CheckResult:
         images = [op.apply(p) for p in polys]
         for a in range(len(polys)):
             for b in range(a, len(polys)):
-                left = inner_product(images[a], polys[b], gamma)
-                right = inner_product(polys[a], images[b], gamma)
+                left = inner(images[a], polys[b])
+                right = inner(polys[a], images[b])
                 if left != right:
                     return CheckResult(
                         "orthogonality",

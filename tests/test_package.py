@@ -3,7 +3,7 @@ import re
 from pathlib import Path
 
 import simplexalg
-from simplexalg import racah
+from simplexalg import moments, racah
 from simplexalg.linalg import ExactMatrix
 from simplexalg.scalar import Rat
 from simplexalg.verify import SUITES, ModuleContext, run_suites
@@ -60,6 +60,19 @@ def test_no_suite_multiplies_matrices(monkeypatch):
         raise AssertionError("matrix product in a suite")
 
     monkeypatch.setattr(ExactMatrix, "__matmul__", refuse)
+    gamma = (Rat(1, 2), Rat(1, 3), Rat(1, 5), Rat(1, 7), Rat(1, 11))
+    assert run_suites(3, 2, gamma[:4], SUITES, "strict").ok
+    assert run_suites(4, 1, gamma, SUITES, "strict").ok
+
+
+def test_no_suite_computes_an_inner_product(monkeypatch):
+    # orthogonality follows from the formal symmetry of the generators and
+    # the simple joint spectrum of the M_j, so no suite integrates
+    def refuse(*args, **kwargs):
+        raise AssertionError("simplex moment in a suite")
+
+    monkeypatch.setattr(moments, "inner_product", refuse)
+    monkeypatch.setattr(moments, "simplex_moment", refuse)
     gamma = (Rat(1, 2), Rat(1, 3), Rat(1, 5), Rat(1, 7), Rat(1, 11))
     assert run_suites(3, 2, gamma[:4], SUITES, "strict").ok
     assert run_suites(4, 1, gamma, SUITES, "strict").ok

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from simplexalg.diffops import l_operator
 from simplexalg.errors import DimensionMismatch, InvalidParameter
-from simplexalg import moments
 from simplexalg.moments import inner_product, simplex_moment
 from simplexalg.params import ParamVector, check_gamma, check_jacobi_params, require_valid
 from simplexalg.poly import MultiPoly
@@ -106,14 +105,6 @@ def test_moment_validation_runs_on_every_call():
             simplex_moment((1, 0), g)
         with pytest.raises(InvalidParameter):
             simplex_moment((0, 0, 0), [-1, 0, 0])
-
-
-def test_moment_cache_stays_within_its_size(fresh_caches):
-    size = moments.MOMENT_CACHE_SIZE
-    for k in range(size + 100):
-        assert simplex_moment((1, 0, 0), ParamVector([k, 0, 0])) == Rat(k + 1, k + 3)
-    info = moments._moment_value.cache_info()
-    assert (info.maxsize, info.currsize, info.misses) == (size, size, size + 100)
 
 
 from oracles import oracle_moment

@@ -39,7 +39,7 @@ from simplexalg.verify import (
     verify_selfadjoint_orthogonal,
     verify_separation,
     verify_spectral,
-    _orthogonal_selfadjoint,
+    _symmetry_defect,
 )
 
 G0_2 = ParamVector([0, 0, 0])
@@ -182,9 +182,14 @@ def _generators(d, gamma):
 
 
 @pytest.mark.parametrize(
-    "d, n, seed", [(2, 1, 900), (2, 2, 901), (2, 3, 902), (3, 1, 910), (3, 2, 911), (3, 3, 912)]
+    "d, n, seed",
+    [
+        (2, 1, 900), (2, 2, 901), (2, 3, 902),
+        (3, 1, 910), (3, 2, 911), (3, 3, 912),
+        (4, 1, 920), (4, 2, 921),
+    ],
 )
-def test_gram_check_agrees_with_inner_product_oracle(d, n, seed):
+def test_orthogonality_agrees_with_inner_product_oracle(d, n, seed):
     gamma = sample_valid_gammas(seed, d, 1, positive=True)[0]
     ctx = ModuleContext(d, n, gamma)
     result = verify_selfadjoint_orthogonal(ctx)
@@ -192,13 +197,39 @@ def test_gram_check_agrees_with_inner_product_oracle(d, n, seed):
     assert result == selfadjoint_orthogonal_oracle(ctx, _generators(d, gamma))
 
 
-def test_gram_check_and_oracle_reject_a_non_self_adjoint_operator():
-    # x_1 d/dx_1 preserves degree but is not symmetric for the simplex weight
-    ctx = ModuleContext(2, 2, G_2)
-    operators = _generators(2, G_2) + [DiffOp(2, {(1, 0): MultiPoly.variable(2, 0)})]
-    result = _orthogonal_selfadjoint(ctx, operators)
-    assert result.status == "fail"
-    assert result == selfadjoint_orthogonal_oracle(ctx, operators)
+def test_gram_check_and_oracle_reject_a_non_self_adjoint_operator(monkeypatch):
+    x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    g_face = ParamVector([Rat(1, 2), Rat(1, 3), 0])
+    g_axis = ParamVector([0, Rat(1, 3), 0])
+    cases = [
+        # x_1 d_1 preserves degree but is not symmetric for the simplex weight
+        (G_2, DiffOp(2, {(1, 0): x1}), "the d_1 coefficient breaks the divergence form"),
+        # divergence form, with flux only through the face |x| = 1
+        (
+            g_face,
+            DiffOp(2, {(2, 0): x1, (1, 0): 1 + g_face[1]}),
+            "column 1 of A does not vanish on |x| = 1",
+        ),
+        # divergence form at gamma_1 = gamma_3 = 0, with flux only through x_1 = 0
+        (g_axis, DiffOp(2, {(2, 0): x2}), "A_(1,1) does not vanish on x_1 = 0"),
+    ]
+    for gamma, extra, defect in cases:
+        ctx = ModuleContext(2, 2, gamma)
+        generators = _generators(2, gamma)
+        assert [_symmetry_defect(op, gamma) for op in generators] == [None] * 3
+        mutant = generators[0] + extra
+        assert _symmetry_defect(mutant, gamma) == defect
+        assert selfadjoint_orthogonal_oracle(ctx, generators + [mutant]).status == "fail"
+
+        def patched(i, j, d, g, mutant=mutant):
+            return mutant if (i, j) == (1, 2) else l_operator(i, j, d, g)
+
+        monkeypatch.setattr(verify, "l_operator", patched)
+        result = verify_selfadjoint_orthogonal(ctx)
+        assert (result.status, result.details) == (
+            "fail",
+            f"L_(1,2) is not symmetric for the weight: {defect}",
+        )
 
 
 def test_irreducibility_and_orbits(ctx_3):
