@@ -143,8 +143,3 @@ def graded_indices(n: int, d: int) -> list:
         out.extend(level_indices(m, d))
     return out
 
-
-def monomials_upto(n: int, d: int) -> list:
-    """All exponent tuples of total degree <= n (same enumeration as indices)."""
-    return graded_indices(n, d)
-

@@ -1,9 +1,9 @@
 """Exact dense linear algebra over the rationals.
 
-Gaussian elimination with exact rational pivots: rank, solve and inverse
-never round, so there is no tolerance parameter anywhere.  Matrices
-are small (desk scale), so plain division-based elimination is the right
-tool; results are exact because the scalars are.
+One Gaussian elimination with exact rational pivots, ``SpanBasis``, serves
+rank, solve and inverse: nothing rounds, so there is no tolerance parameter
+anywhere.  Matrices are small (desk scale), so plain division-based
+elimination is the right tool; results are exact because the scalars are.
 """
 
 from __future__ import annotations
@@ -128,58 +128,32 @@ class ExactMatrix:
 
     # -- elimination ------------------------------------------------------
 
-    def _rref(self, augment: "ExactMatrix | None" = None):
-        """Reduced row echelon form; returns (rows, aug_rows, pivot_cols)."""
-        m = [list(row) for row in self.entries]
-        aug = [list(row) for row in augment.entries] if augment is not None else None
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            if aug is not None:
-                aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-            inv = 1 / m[r][c]
-            m[r] = [v * inv for v in m[r]]
-            if aug is not None:
-                aug[r] = [v * inv for v in aug[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    factor = m[i][c]
-                    m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-                    if aug is not None:
-                        aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return m, aug, pivots
-
     def rank(self) -> int:
-        _, _, pivots = self._rref()
-        return len(pivots)
+        span = SpanBasis(self.cols)
+        for row in self.entries:
+            span.add(row)
+        return span.dim
 
     def solve(self, rhs: "ExactMatrix") -> "ExactMatrix":
         """Exact solution X of self @ X = rhs.
 
-        Raises SingularSystem when the system is inconsistent or the solution
-        is not unique (free columns); the exception carries the rank.
+        The rows [self | rhs] go into one ``SpanBasis``; a reduced row whose
+        pivot lies in rhs reads 0 = nonzero.  Raises SingularSystem when the
+        system is inconsistent or the solution is not unique (free columns);
+        the exception carries the rank.
         """
         if rhs.rows != self.rows:
             raise DimensionMismatch(f"rhs has {rhs.rows} rows, expected {self.rows}")
-        m, aug, pivots = self._rref(rhs)
-        rank = len(pivots)
-        for i in range(rank, self.rows):
-            if any(v != 0 for v in aug[i]):
-                raise SingularSystem("inconsistent system", rank, self.rows, self.cols)
+        span = SpanBasis(self.cols + rhs.cols)
+        for row, extra in zip(self.entries, rhs.entries):
+            span.add(row + extra)
+        solution = {p: row[self.cols :] for row, p in zip(span.rows, span.pivots) if p < self.cols}
+        rank = len(solution)
+        if rank < span.dim:
+            raise SingularSystem("inconsistent system", rank, self.rows, self.cols)
         if rank < self.cols:
             raise SingularSystem("underdetermined system", rank, self.rows, self.cols)
-        solution = [[Rat(0)] * rhs.cols for _ in range(self.cols)]
-        for r, c in enumerate(pivots):
-            solution[c] = aug[r]
-        return ExactMatrix(solution)
+        return ExactMatrix._raw(self.cols, rhs.cols, [solution[c] for c in range(self.cols)])
 
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:

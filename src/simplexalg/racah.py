@@ -235,19 +235,15 @@ class ZFraction:
 
 @dataclass(frozen=True)
 class RacahParamVector:
-    """beta_0..beta_d attached to a gamma vector, tagged plus or minus."""
+    """beta_0..beta_d attached to a gamma vector."""
 
     values: tuple
-    variant: str
 
     def __getitem__(self, i: int) -> Rat:
         return self.values[i]
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def to_json(self) -> dict:
-        return {"variant": self.variant, "values": [rat_str(v) for v in self.values]}
 
 
 def parameter_maps(gamma, n: int, d: int) -> "tuple[RacahParamVector, RacahParamVector]":
@@ -261,10 +257,7 @@ def parameter_maps(gamma, n: int, d: int) -> "tuple[RacahParamVector, RacahParam
         -params.tail_sum(j + 1) - 2 * n - d + j for j in range(1, d + 1)
     ]
     minus = [params.tail_sum(d + 1 - j) + j for j in range(0, d + 1)]
-    return (
-        RacahParamVector(tuple(plus), "plus"),
-        RacahParamVector(tuple(minus), "minus"),
-    )
+    return RacahParamVector(tuple(plus)), RacahParamVector(tuple(minus))
 
 
 def _zvar(nvars: int, k: int) -> MultiPoly:

@@ -2,8 +2,8 @@ import pytest
 
 from simplexalg import verify
 
-# the per-process caches of n-independent results
-CACHES = (verify._kd_verdict, verify._f_operator_holds)
+# the per-process caches of n-independent verdicts, all of OPERATOR_CACHE_SIZE
+CACHES = (verify._kd_verdict, verify._f_verdict, verify._asymmetric_generator)
 
 
 @pytest.fixture

@@ -18,10 +18,11 @@ pairs, the rank oracle ranks the generators' actions on monomials instead of
 their coefficients, the total operator is built from its closed form
 instead of as a pair sum, the composition oracle differentiates and
 multiplies whole coefficient polynomials for each Leibniz term instead of
-accumulating weighted monomial products in one pass, and the F relation and
+accumulating weighted monomial products in one pass, the F relation and
 commutation oracles evaluate F and the commutators on the generator matrices
 of one level instead of reporting the operator identities that hold for
-every level.
+every level, and the kd oracle checks all three forms of each triple relation
+and every [M_i, M_j] instead of only the relations that generate them.
 """
 
 import functools
@@ -29,8 +30,16 @@ import random
 from itertools import combinations, product
 from math import comb
 
-from simplexalg.diffops import DiffOp, f_combination, f_formula, l_operator, m_operator
-from simplexalg.jacobi import graded_indices, jacobi1d, jacobi_simplex, monomials_upto
+from simplexalg.diffops import (
+    DiffOp,
+    commutator,
+    f_combination,
+    f_formula,
+    l_operator,
+    m_operator,
+    m_pairs,
+)
+from simplexalg.jacobi import graded_indices, jacobi1d, jacobi_simplex
 from simplexalg.linalg import ExactMatrix, SpanBasis
 from simplexalg.moments import simplex_moment
 from simplexalg.params import ParamVector, check_gamma, require_valid
@@ -230,7 +239,7 @@ def orbit_closure_dimensions(matrices, size: int) -> list:
 
 @functools.cache
 def _dense_basis_inverse(d: int, n: int, gamma: tuple) -> ExactMatrix:
-    index = {m: i for i, m in enumerate(monomials_upto(n, d))}
+    index = {m: i for i, m in enumerate(graded_indices(n, d))}
     columns = [jacobi_simplex(nu, gamma).coordinates(index) for nu in graded_indices(n, d)]
     return ExactMatrix.from_columns(columns).inverse()
 
@@ -239,7 +248,7 @@ def dense_expand_oracle(ctx, poly: MultiPoly) -> list:
     """Coefficients of ``poly`` (degree <= ctx.n) in the graded family of
     ``ctx``, as the inverse of the monomial-coordinate basis matrix times the
     monomial coordinates of ``poly``."""
-    index = {m: i for i, m in enumerate(monomials_upto(ctx.n, ctx.d))}
+    index = {m: i for i, m in enumerate(graded_indices(ctx.n, ctx.d))}
     return _dense_basis_inverse(ctx.d, ctx.n, ctx.gamma.gamma).matvec(poly.coordinates(index))
 
 
@@ -298,7 +307,7 @@ def generator_rank_oracle(d: int, gamma, degree: int = 3) -> int:
     """Exact rank of the generators as maps on polynomials of degree <= ``degree``,
     from their images of every monomial."""
     params = require_valid(gamma, d)
-    monomials = monomials_upto(degree, d)
+    monomials = graded_indices(degree, d)
     index = {m: i for i, m in enumerate(monomials)}
     span = SpanBasis(len(monomials) ** 2)
     for i, j in combinations(range(1, d + 2), 2):
@@ -392,3 +401,29 @@ def matrix_commutation_oracle(ctx) -> CheckResult:
                     "kd-matrix", "fail", f"[L_({i},{j}), L_({k},{l})] != 0 on the module"
                 )
     return CheckResult("kd-matrix", "pass", "matrix commutation relations hold")
+
+
+def kd_relations_oracle(d: int, gamma) -> tuple:
+    """(status, details) of the kd check from every commutation relation:
+    [L_ab, L_cd] = 0 for disjoint pairs, all three forms [L_ab, L_ac + L_bc] = 0
+    of each triple, then [M_i, M_j] = 0 with M_j summed from the same
+    generators."""
+    params = require_valid(gamma, d)
+    ops = {(i, j): l_operator(i, j, d, params) for i, j in combinations(range(1, d + 2), 2)}
+    for (i, j), (k, l) in combinations(ops, 2):
+        if len({i, j, k, l}) == 4:
+            if not commutator(ops[(i, j)], ops[(k, l)]).is_zero():
+                return "fail", f"[L_{(i,j)}, L_{(k,l)}] != 0"
+    for i, j, k in combinations(range(1, d + 2), 3):
+        for a, b, c in ((i, j, k), (i, k, j), (j, k, i)):
+            lhs = commutator(
+                ops[(min(a, b), max(a, b))],
+                ops[(min(a, c), max(a, c))] + ops[(min(b, c), max(b, c))],
+            )
+            if not lhs.is_zero():
+                return "fail", f"[L_{(a,b)}, L_{(a,c)}+L_{(b,c)}] != 0"
+    ms = [sum((ops[pair] for pair in m_pairs(j, d)), DiffOp.zero(d)) for j in range(1, d + 1)]
+    for (ji, mi), (jj, mj) in combinations(enumerate(ms, 1), 2):
+        if not commutator(mi, mj).is_zero():
+            return "fail", f"[M_{ji}, M_{jj}] != 0"
+    return "pass", f"all commutativity relations hold for d={d}"

@@ -21,7 +21,7 @@ from simplexalg.diffops import (
     m_operator,
     pair_counts,
 )
-from simplexalg.jacobi import monomials_upto
+from simplexalg.jacobi import graded_indices
 from simplexalg.params import ParamVector
 from simplexalg.poly import MultiPoly
 from simplexalg.scalar import Rat
@@ -172,7 +172,7 @@ def test_compose_leibniz_against_direct_action():
     a = l_operator(1, 2, 2, G0)
     b = l_operator(2, 3, 2, G0)
     composed = a @ b
-    for exponent in monomials_upto(3, 2):
+    for exponent in graded_indices(3, 2):
         p = MultiPoly.monomial(2, exponent)
         assert composed.apply(p) == a.apply(b.apply(p))
 
@@ -215,7 +215,7 @@ def test_f_relation_action_on_low_degree(subtests=None):
     gamma = G3
     f_op = f_combination(i, j, k, l, 3, gamma)
     target = l_operator(i, j, 3, gamma).scale((1 - gamma[k] ** 2) * (1 - gamma[l] ** 2))
-    for exponent in monomials_upto(3, 3):
+    for exponent in graded_indices(3, 3):
         p = MultiPoly.monomial(3, exponent)
         assert f_op.apply(p) == target.apply(p)
 
@@ -233,7 +233,7 @@ def test_f_annihilates_constants():
 def test_degree_preservation(d, gamma):
     ops = [l_operator(i, j, d, gamma) for i, j in combinations(range(1, d + 2), 2)]
     for op in ops + [l_total(d, gamma)]:
-        for exponent in monomials_upto(4, d):
+        for exponent in graded_indices(4, d):
             image = op.apply(MultiPoly.monomial(d, exponent))
             assert image.total_degree() <= sum(exponent), exponent
 

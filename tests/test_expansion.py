@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import dense_expand_oracle
 from simplexalg.diffops import l_operator
 from simplexalg.errors import InvariantViolation
-from simplexalg.jacobi import lex_lead, monomials_upto
+from simplexalg.jacobi import graded_indices, lex_lead
 from simplexalg.params import ParamVector, check_gamma
 from simplexalg.poly import MultiPoly
 from simplexalg.scalar import Rat
@@ -33,7 +33,7 @@ CELLS = {
 
 
 def _random_poly(rng: random.Random, d: int, n: int) -> MultiPoly:
-    monomials = monomials_upto(n, d)
+    monomials = graded_indices(n, d)
     chosen = rng.sample(monomials, rng.randint(1, len(monomials)))
     return MultiPoly(d, {m: Rat(rng.randint(-9, 9), rng.randint(1, 9)) for m in chosen})
 

@@ -10,7 +10,6 @@ from simplexalg.jacobi import (
     jacobi_simplex,
     level_indices,
     lex_lead,
-    monomials_upto,
 )
 from simplexalg.linalg import ExactMatrix
 from simplexalg.moments import inner_product
@@ -143,7 +142,7 @@ def test_basis_build_and_rank():
     ctx = ModuleContext(2, 3, gamma)
     assert len(ctx.level) == comb(3 + 1, 1)
     assert ctx.level == level_indices(3, 2)
-    index = {m: i for i, m in enumerate(monomials_upto(3, 2))}
+    index = {m: i for i, m in enumerate(graded_indices(3, 2))}
     matrix = ExactMatrix.from_columns([ctx.polys[nu].coordinates(index) for nu in ctx.level])
     assert matrix.rank() == len(ctx.level)
 

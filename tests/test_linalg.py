@@ -34,6 +34,19 @@ def test_singular_reports_rank():
     assert err.value.rank == 1
 
 
+def test_singular_messages_and_overdetermined_solve():
+    a = ExactMatrix([[1, 2], [2, 4]])
+    with pytest.raises(SingularSystem, match="underdetermined system") as err:
+        a.solve(column([1, 2]))
+    assert err.value.rank == 1
+    with pytest.raises(SingularSystem, match="inconsistent system"):
+        a.solve(column([1, 0]))
+    # three consistent equations in two unknowns, one of them redundant
+    tall = ExactMatrix([[1, 1], [1, -1], [2, 0]])
+    assert tall.solve(ExactMatrix([[3, 0], [1, 2], [4, 2]])) == ExactMatrix([[2, 1], [1, -1]])
+    assert ExactMatrix.zeros(2, 3).rank() == 0
+
+
 @pytest.mark.parametrize("size", [1, 4, 13, 50])
 def test_solve_round_trip(size):
     rng = random.Random(1000 + size)

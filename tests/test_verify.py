@@ -428,18 +428,24 @@ def _counting(monkeypatch, owner, name, key):
 
 
 def test_operator_identities_run_once_per_gamma(monkeypatch, fresh_caches):
-    # the F operators and kd's commutators depend on (d, gamma) alone
+    # the F operators, kd's commutators and the generator symmetry depend on
+    # (d, gamma) alone
     f_calls = _counting(monkeypatch, verify, "f_combination", lambda *args: args[:5])
     kd_calls = _counting(monkeypatch, verify, "commutator", lambda a, b: a.dim)
+    symmetry_calls = _counting(
+        monkeypatch, verify, "_symmetry_defect", lambda op, gamma: (op.dim, repr(op))
+    )
     cells = {3: (1, 2, 3), 4: (1, 2)}
     gammas = {d: sample_valid_gammas(60 + d, d, 1, positive=True)[0] for d in cells}
     for d, levels in cells.items():
         for n in levels:
-            report = run_suites(d, n, gammas[d], ("f-relation", "kd"))
-            assert [c.status for c in report.checks] == ["pass"] * 3
+            report = run_suites(d, n, gammas[d], ("f-relation", "kd", "orthogonality"))
+            assert [c.status for c in report.checks] == ["pass"] * 4
     assert f_calls == {
         (*choice, d): 1 for d in cells for choice in verify._f_index_choices(d)
     }
+    assert set(symmetry_calls.values()) == {1}
+    assert Counter(d for d, _ in symmetry_calls) == {d: comb(d + 1, 2) for d in cells}
     # one more uncached kd pass per d adds as many commutators as all levels did
     all_levels = dict(kd_calls)
     for d in cells:
@@ -496,21 +502,69 @@ def test_kd_results_are_fresh_objects():
 
 
 def test_caches_stay_within_their_sizes(monkeypatch, fresh_caches):
-    # a cheap F so that many gammas fit in the test; the kd body is cheap at d = 2
+    # cheap stand-ins so that many gammas fit in the test: a closed-form F,
+    # and kd and the symmetry check at d = 2
     def f_stand_in(i, j, k, l, d, gamma):
         return l_operator(i, j, d, gamma).scale((1 - gamma[k] ** 2) * (1 - gamma[l] ** 2))
 
     monkeypatch.setattr(verify, "f_combination", f_stand_in)
-    f_gammas = sample_valid_gammas(63, 3, verify.F_OPERATOR_CACHE_SIZE // 2 + 10)
-    for gamma in f_gammas:
+    size = verify.OPERATOR_CACHE_SIZE
+    for gamma in sample_valid_gammas(63, 3, size + 10):
         assert verify_f_relation(ModuleContext(3, 0, gamma)).status == "pass"
-    for gamma in sample_valid_gammas(64, 2, verify.KD_CACHE_SIZE + 10):
+    for gamma in sample_valid_gammas(64, 2, size + 10, positive=True):
         assert verify_kd(2, gamma).status == "pass"
-    for cache, size in (
-        (verify._f_operator_holds, verify.F_OPERATOR_CACHE_SIZE),
-        (verify._kd_verdict, verify.KD_CACHE_SIZE),
-    ):
+        assert verify_selfadjoint_orthogonal(ModuleContext(2, 0, gamma)).status == "pass"
+    for cache in (verify._f_verdict, verify._kd_verdict, verify._asymmetric_generator):
         info = cache.cache_info()
         assert info.maxsize == size
         assert info.currsize == size
         assert info.misses > size
+
+
+@pytest.mark.parametrize("d, count", [(2, 3), (3, 3), (4, 2), (5, 1)])
+def test_kd_verdict_agrees_with_relations_oracle(d, count):
+    for gamma in sample_valid_gammas(70 + d, d, count):
+        assert verify_kd(d, gamma).status == "pass"
+        assert verify._kd_verdict(d, gamma) == oracles.kd_relations_oracle(d, gamma)
+
+
+def _kd_mutants(d):
+    """(index pair, change) for three wrong generators: one that only breaks
+    a triple relation, and two that break a disjoint-pair relation from d = 3."""
+    x1, x2 = MultiPoly.variable(d, 0), MultiPoly.variable(d, 1)
+    d1, d11 = (1,) + (0,) * (d - 1), (2,) + (0,) * (d - 1)
+    return [
+        ((1, 2), lambda op: op.scale(2)),
+        ((2, 3), lambda op: op + DiffOp(d, {d1: x1})),
+        ((1, d + 1), lambda op: op + DiffOp(d, {d11: x2})),
+    ]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_kd_verdict_and_relations_oracle_reject_the_same_mutants(monkeypatch, d):
+    gamma = sample_valid_gammas(70 + d, d, 1)[0]
+    for pair, change in _kd_mutants(d):
+
+        def mutant(i, j, dim, params, pair=pair, change=change):
+            op = l_operator(i, j, dim, params)
+            return change(op) if (min(i, j), max(i, j)) == pair else op
+
+        monkeypatch.setattr(verify, "l_operator", mutant)
+        monkeypatch.setattr(oracles, "l_operator", mutant)
+        verdict = verify._kd_verdict.__wrapped__(d, gamma)
+        assert verdict[0] == "fail"
+        assert verdict == oracles.kd_relations_oracle(d, gamma)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_kd_checks_only_the_generating_relations(monkeypatch, d):
+    # disjoint pairs {a,b}, {c,e}, and two of the three forms of each triple;
+    # no Jucys-Murphy sum is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("M_j built by the kd check")
+
+    monkeypatch.setattr(verify, "m_operator", refuse)
+    calls = _counting(monkeypatch, verify, "commutator", lambda a, b: a.dim)
+    gamma = sample_valid_gammas(70 + d, d, 1)[0]
+    assert verify._kd_verdict.__wrapped__(d, gamma)[0] == "pass"
+    assert calls[d] == comb(d + 1, 2) * comb(d - 1, 2) // 2 + 2 * comb(d + 1, 3)
