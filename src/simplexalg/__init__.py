@@ -24,7 +24,7 @@ from .errors import (
     InvariantViolation,
     SingularSystem,
 )
-from .jacobi import a_param, jacobi1d, jacobi_simplex, graded_indices, level_indices
+from .jacobi import a_param, jacobi_simplex, graded_indices, level_indices
 from .linalg import ExactMatrix, SpanBasis
 from .moments import inner_product, simplex_moment
 from .params import ParamVector, check_gamma, require_valid

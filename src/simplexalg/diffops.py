@@ -105,11 +105,6 @@ class DiffOp:
         value = as_rat(value)
         return DiffOp(self.dim, {a: c.scale(value) for a, c in self.terms.items()})
 
-    def __mul__(self, value) -> "DiffOp":
-        return self.scale(value)
-
-    __rmul__ = __mul__
-
     # -- composition and action --------------------------------------------
 
     def _numerators(self) -> tuple:
@@ -323,8 +318,10 @@ def f_combination(i: int, j: int, k: int, l: int, d: int, gamma) -> DiffOp:
 
 def f_formula(generator, i: int, j: int, k: int, l: int, gamma):
     """F(L_{i,k}, L_{i,l}, L_{j,k}, L_{j,l}, L_{k,l}) over any ring with ``@``,
-    ``+``, ``-`` and ``scale``; ``generator(a, b)`` is the image of L_{a,b},
-    a differential operator or its matrix on a level."""
+    ``+``, ``-`` and ``scale``; ``generator(a, b)`` is the image of L_{a,b}.
+    The package evaluates it on differential operators only.  The matrix
+    ring, in which ``f_relation_matrix_oracle`` evaluates it on the generator
+    matrices of a level, is ``RingMatrix`` in ``tests/oracles.py``."""
     gi, gj, gk, gl = gamma[i], gamma[j], gamma[k], gamma[l]
     ik, il, jk, jl, kl = (generator(a, b) for a, b in ((i, k), (i, l), (j, k), (j, l), (k, l)))
     jk_kl = commutator(jk, kl)

@@ -40,23 +40,6 @@ from .scalar import Rat, as_rat, pochhammer
 DegreeIndex = "tuple[int, ...]"
 
 
-def jacobi1d(n: int, alpha, beta) -> MultiPoly:
-    """One-variable Jacobi polynomial of degree n as a polynomial in t (dim 1)."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    alpha, beta = as_rat(alpha), as_rat(beta)
-    violations = check_jacobi_params(alpha, beta)
-    if violations:
-        raise InvalidParameter("; ".join(violations))
-    u = MultiPoly(1, {(0,): Rat(1, 2), (1,): Rat(-1, 2)})  # (1-t)/2
-    result = MultiPoly.zero(1)
-    for k, c in enumerate(jacobi1d_coeffs(n, alpha, beta)):
-        result = result + (u ** k).scale(c)
-    if result.total_degree() != n:
-        raise InvalidParameter("degree drop: admissibility conditions violated")
-    return result
-
-
 def jacobi1d_coeffs(n: int, alpha, beta) -> list:
     """Coefficients c_0..c_n of p_n^(a,b) in powers of (1-t)/2, including the lead factor."""
     alpha, beta = as_rat(alpha), as_rat(beta)

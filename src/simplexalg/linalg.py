@@ -1,9 +1,11 @@
 """Exact dense linear algebra over the rationals.
 
 One Gaussian elimination with exact rational pivots, ``SpanBasis``, serves
-rank, solve and inverse: nothing rounds, so there is no tolerance parameter
-anywhere.  Matrices are small (desk scale), so plain division-based
-elimination is the right tool; results are exact because the scalars are.
+the generator rank, solve and inverse: nothing rounds, so there is no
+tolerance parameter anywhere.  Matrices are small (desk scale), so plain
+division-based elimination is the right tool; results are exact because the
+scalars are.  The suites only add and compare matrices; products, differences
+and scalings live with the oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DimensionMismatch, SingularSystem
-from .scalar import Rat, as_rat, rat_str
+from .scalar import as_rat, rat_str
 
 
 class ExactMatrix:
@@ -73,9 +75,6 @@ class ExactMatrix:
             and self.entries == other.entries
         )
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
-
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_shape(other)
         return ExactMatrix._raw(
@@ -84,42 +83,6 @@ class ExactMatrix:
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
         )
 
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_shape(other)
-        return ExactMatrix._raw(
-            self.rows,
-            self.cols,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-        )
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix._raw(self.rows, self.cols, [[-v for v in row] for row in self.entries])
-
-    def scale(self, value) -> "ExactMatrix":
-        value = as_rat(value)
-        return ExactMatrix._raw(
-            self.rows, self.cols, [[v * value for v in row] for row in self.entries]
-        )
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        # over the nonzero entries only: operator matrices are sparse
-        nonzero = [[(c, b) for c, b in enumerate(row) if b] for row in other.entries]
-        out = [[Rat(0)] * other.cols for _ in self.entries]
-        for acc, row in zip(out, self.entries):
-            for a, pairs in zip(row, nonzero):
-                if a:
-                    for c, b in pairs:
-                        acc[c] += a * b
-        return ExactMatrix._raw(self.rows, other.cols, out)
-
-    def matvec(self, vector: Sequence) -> list:
-        vector = [as_rat(v) for v in vector]
-        if len(vector) != self.cols:
-            raise DimensionMismatch(f"vector of length {len(vector)} for {self.cols} columns")
-        return [sum(a * b for a, b in zip(row, vector)) for row in self.entries]
-
     def _check_shape(self, other: "ExactMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch(
@@ -127,12 +90,6 @@ class ExactMatrix:
             )
 
     # -- elimination ------------------------------------------------------
-
-    def rank(self) -> int:
-        span = SpanBasis(self.cols)
-        for row in self.entries:
-            span.add(row)
-        return span.dim
 
     def solve(self, rhs: "ExactMatrix") -> "ExactMatrix":
         """Exact solution X of self @ X = rhs.
@@ -186,9 +143,6 @@ class SpanBasis:
                 factor = v[p]
                 v = [a - factor * b for a, b in zip(v, row)]
         return v
-
-    def contains(self, vector) -> bool:
-        return all(x == 0 for x in self._reduce(list(vector)))
 
     def add(self, vector) -> bool:
         v = self._reduce(list(vector))

@@ -20,10 +20,6 @@ from .scalar import ONE, Rat, as_rat, rat_str
 Exponent = "tuple[int, ...]"
 
 
-def _grlex_key(exponent):
-    return (sum(exponent), exponent)
-
-
 class MultiPoly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -87,20 +83,6 @@ class MultiPoly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def sorted_terms(self):
-        """Terms in graded-lex order, leading term first."""
-        return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]), reverse=True)
-
-    def coefficient(self, exponent) -> Rat:
-        return self.terms.get(tuple(exponent), Rat(0))
-
-    def coordinates(self, index: Mapping) -> list:
-        """Coefficient vector in the monomial order ``index`` (exponent -> position)."""
-        column = [Rat(0)] * len(index)
-        for exponent, coefficient in self.terms.items():
-            column[index[exponent]] = coefficient
-        return column
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -299,7 +281,8 @@ class MultiPoly:
         if not self.terms:
             return "0"
         parts = []
-        for exponent, coefficient in self.sorted_terms():
+        terms = sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
+        for exponent, coefficient in terms:
             factors = [rat_str(coefficient)] if coefficient != 1 or not any(exponent) else []
             for i, e in enumerate(exponent):
                 if e == 1:

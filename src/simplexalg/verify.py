@@ -127,8 +127,10 @@ class ModuleInvarianceError(ExactAlgebraError):
 class ModuleContext:
     """Cached exact data for one cell (d, n, gamma): the graded family
     {P_mu : |mu| <= n}, the coefficient of x^mu in each P_mu, its
-    lex-smallest top-degree monomial (checked at build time), and the
-    generator matrices, from which the M_j^variant matrices are summed."""
+    lex-smallest top-degree monomial (checked at build time), the generator
+    matrices, from which the M_j^variant matrices are summed, and the verdict
+    of M_j P_mu = lambda_j(mu) P_mu on each level |mu| <= n, which spectral
+    and orthogonality share."""
 
     def __init__(self, d: int, n: int, gamma):
         self.d = d
@@ -139,6 +141,7 @@ class ModuleContext:
         self.polys = {nu: jacobi_simplex(nu, self.gamma) for nu in self.graded}
         self._leads = {nu: lex_lead(nu, poly) for nu, poly in self.polys.items()}
         self._matrices: dict = {}
+        self._eigen_defects: dict = {}
 
     def expand(self, poly: MultiPoly) -> list:
         """Coefficients of ``poly`` in the graded family (exact), in
@@ -216,6 +219,27 @@ class ModuleContext:
             for i, j in combinations(range(1, self.d + 2), 2)
         }
 
+    def eigen_defect(self, levels: Sequence[int]) -> str | None:
+        """The first failure of M_j P_mu = lambda_j(mu) P_mu on the lowest
+        failing level of ``levels`` (ascending), j ascending, then mu in level
+        order; None when every one holds.  Each level is checked at most once
+        per context."""
+        ops = None
+        for m in levels:
+            if m not in self._eigen_defects:
+                ops = ops or [m_operator(j, self.d, self.gamma) for j in range(1, self.d + 1)]
+                self._eigen_defects[m] = self._level_eigen_defect(m, ops)
+            if self._eigen_defects[m]:
+                return self._eigen_defects[m]
+        return None
+
+    def _level_eigen_defect(self, m: int, ops: Sequence[DiffOp]) -> str | None:
+        for j, op in enumerate(ops, 1):
+            for mu in level_indices(m, self.d):
+                if op.apply(self.polys[mu]) != self.polys[mu].scale(eigenvalue(j, mu, self.gamma)):
+                    return f"M_{j} P_{mu} != lambda_{j}({mu}) P_{mu}"
+        return None
+
 
 def _timed(fn: Callable[[], CheckResult]) -> CheckResult:
     start = time.perf_counter()
@@ -227,18 +251,6 @@ def _timed(fn: Callable[[], CheckResult]) -> CheckResult:
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
-
-
-def _eigen_defect(ctx: ModuleContext, indices: Sequence) -> str | None:
-    """The first failure of M_j P_nu = lambda_j(nu) P_nu over ``indices``, or
-    None when every one holds."""
-    for j in range(1, ctx.d + 1):
-        op = m_operator(j, ctx.d, ctx.gamma)
-        for nu in indices:
-            expected = ctx.polys[nu].scale(eigenvalue(j, nu, ctx.gamma))
-            if op.apply(ctx.polys[nu]) != expected:
-                return f"M_{j} P_{nu} != lambda_{j}({nu}) P_{nu}"
-    return None
 
 
 def _shared_spectrum(indices: Sequence, gamma: ParamVector) -> str | None:
@@ -255,7 +267,7 @@ def _shared_spectrum(indices: Sequence, gamma: ParamVector) -> str | None:
 def verify_spectral(ctx: ModuleContext) -> CheckResult:
     """M_j P_nu = lambda_j(nu) P_nu at the polynomial level.  Column nu of the
     matrix of M_j is then lambda_j(nu) e_nu, so the matrix is diagonal."""
-    defect = _eigen_defect(ctx, ctx.level)
+    defect = ctx.eigen_defect([ctx.n])
     if defect:
         return CheckResult("spectral", "fail", defect)
     return CheckResult("spectral", "pass", f"{ctx.d} commuting operators on {len(ctx.level)} indices")
@@ -469,7 +481,8 @@ def verify_selfadjoint_orthogonal(ctx: ModuleContext) -> CheckResult:
     each Jucys-Murphy sum M_j are self-adjoint, and the P_mu are joint
     eigenvectors of the M_j with distinct eigenvalue tuples.  No inner
     product is computed.  The symmetry half depends on (d, gamma) alone and
-    is memoized; the eigen-check runs on every level."""
+    is memoized; the eigen-check reads the verdict of every level 0..n from
+    the context, which the spectral suite shares."""
     gamma = ctx.gamma
     if not all(gamma[j] > -1 for j in range(1, ctx.d + 2)):
         return CheckResult(
@@ -477,7 +490,7 @@ def verify_selfadjoint_orthogonal(ctx: ModuleContext) -> CheckResult:
         )
     defect = (
         _asymmetric_generator(ctx.d, gamma)
-        or _eigen_defect(ctx, ctx.graded)
+        or ctx.eigen_defect(range(ctx.n + 1))
         or _shared_spectrum(ctx.graded, gamma)
     )
     if defect:

@@ -26,6 +26,7 @@ and every [M_i, M_j] instead of only the relations that generate them.
 """
 
 import functools
+import operator
 import random
 from itertools import combinations, product
 from math import comb
@@ -39,13 +40,102 @@ from simplexalg.diffops import (
     m_operator,
     m_pairs,
 )
-from simplexalg.jacobi import graded_indices, jacobi1d, jacobi_simplex
+from simplexalg.errors import DimensionMismatch, InvalidParameter
+from simplexalg.jacobi import graded_indices, jacobi1d_coeffs, jacobi_simplex
 from simplexalg.linalg import ExactMatrix, SpanBasis
 from simplexalg.moments import simplex_moment
-from simplexalg.params import ParamVector, check_gamma, require_valid
+from simplexalg.params import ParamVector, check_gamma, check_jacobi_params, require_valid
 from simplexalg.poly import MultiPoly
-from simplexalg.scalar import Rat
+from simplexalg.scalar import Rat, as_rat
 from simplexalg.verify import CheckResult, _f_index_choices
+
+
+# -- what only the oracles and the tests use of polynomials and matrices ----
+
+
+def coefficient(poly: MultiPoly, exponent) -> Rat:
+    return poly.terms.get(tuple(exponent), Rat(0))
+
+
+def coordinates(poly: MultiPoly, index) -> list:
+    """Coefficient vector of ``poly`` in the monomial order ``index``
+    (exponent -> position)."""
+    column = [Rat(0)] * len(index)
+    for exponent, value in poly.terms.items():
+        column[index[exponent]] = value
+    return column
+
+
+def jacobi1d(n: int, alpha, beta) -> MultiPoly:
+    """One-variable Jacobi polynomial of degree n as a polynomial in t (dim 1)."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    alpha, beta = as_rat(alpha), as_rat(beta)
+    violations = check_jacobi_params(alpha, beta)
+    if violations:
+        raise InvalidParameter("; ".join(violations))
+    u = MultiPoly(1, {(0,): Rat(1, 2), (1,): Rat(-1, 2)})  # (1-t)/2
+    result = MultiPoly.zero(1)
+    for k, c in enumerate(jacobi1d_coeffs(n, alpha, beta)):
+        result = result + (u ** k).scale(c)
+    if result.total_degree() != n:
+        raise InvalidParameter("degree drop: admissibility conditions violated")
+    return result
+
+
+class RingMatrix(ExactMatrix):
+    """An ``ExactMatrix`` with the ring operations ``f_formula`` and the
+    commutators need, and the elimination the tests use: no suite multiplies,
+    subtracts or scales a matrix."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, matrix: ExactMatrix) -> "RingMatrix":
+        return cls._raw(matrix.rows, matrix.cols, matrix.entries)
+
+    def _entrywise(self, other: ExactMatrix, op) -> "RingMatrix":
+        self._check_shape(other)
+        rows = zip(self.entries, other.entries)
+        return RingMatrix._raw(self.rows, self.cols, [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in rows])
+
+    def __add__(self, other: ExactMatrix) -> "RingMatrix":
+        return self._entrywise(other, operator.add)
+
+    def __sub__(self, other: ExactMatrix) -> "RingMatrix":
+        return self._entrywise(other, operator.sub)
+
+    def scale(self, value) -> "RingMatrix":
+        value = as_rat(value)
+        return RingMatrix._raw(self.rows, self.cols, [[v * value for v in row] for row in self.entries])
+
+    def __matmul__(self, other: ExactMatrix) -> "RingMatrix":
+        if self.cols != other.rows:
+            raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        # over the nonzero entries only: operator matrices are sparse
+        nonzero = [[(c, b) for c, b in enumerate(row) if b] for row in other.entries]
+        out = [[Rat(0)] * other.cols for _ in self.entries]
+        for acc, row in zip(out, self.entries):
+            for a, pairs in zip(row, nonzero):
+                if a:
+                    for c, b in pairs:
+                        acc[c] += a * b
+        return RingMatrix._raw(self.rows, other.cols, out)
+
+    def is_zero(self) -> bool:
+        return all(v == 0 for row in self.entries for v in row)
+
+    def matvec(self, vector) -> list:
+        vector = [as_rat(v) for v in vector]
+        if len(vector) != self.cols:
+            raise DimensionMismatch(f"vector of length {len(vector)} for {self.cols} columns")
+        return [sum(a * b for a, b in zip(row, vector)) for row in self.entries]
+
+    def rank(self) -> int:
+        span = SpanBasis(self.cols)
+        for row in self.entries:
+            span.add(row)
+        return span.dim
 
 
 def compose_oracle(a: DiffOp, b: DiffOp) -> DiffOp:
@@ -72,7 +162,7 @@ def compose_oracle(a: DiffOp, b: DiffOp) -> DiffOp:
 
 def t_poly_coeffs(p: MultiPoly) -> list:
     degree = p.total_degree()
-    return [p.coefficient((k,)) for k in range(degree + 1)]
+    return [coefficient(p, (k,)) for k in range(degree + 1)]
 
 
 def two_var_reference(nu, gamma: ParamVector) -> MultiPoly:
@@ -137,7 +227,7 @@ def integrate_simplex(poly: MultiPoly) -> Rat:
         for i in range(var):
             upper = upper - MultiPoly.variable(d, i)
         p = p.subs_var(var, upper)  # the lower limit 0 contributes nothing
-    return p.coefficient((0,) * d)
+    return coefficient(p, (0,) * d)
 
 
 def oracle_moment(m, gamma_ints) -> Rat:
@@ -218,6 +308,7 @@ def orbit_closure_dimensions(matrices, size: int) -> list:
     """Dimension of the smallest subspace that contains basis vector a and is
     invariant under every matrix, for each a, by exact elimination over the
     orbit."""
+    matrices = [RingMatrix.of(matrix) for matrix in matrices]
     dims = []
     for start in range(size):
         span = SpanBasis(size)
@@ -238,10 +329,10 @@ def orbit_closure_dimensions(matrices, size: int) -> list:
 
 
 @functools.cache
-def _dense_basis_inverse(d: int, n: int, gamma: tuple) -> ExactMatrix:
+def _dense_basis_inverse(d: int, n: int, gamma: tuple) -> RingMatrix:
     index = {m: i for i, m in enumerate(graded_indices(n, d))}
-    columns = [jacobi_simplex(nu, gamma).coordinates(index) for nu in graded_indices(n, d)]
-    return ExactMatrix.from_columns(columns).inverse()
+    columns = [coordinates(jacobi_simplex(nu, gamma), index) for nu in graded_indices(n, d)]
+    return RingMatrix.of(ExactMatrix.from_columns(columns).inverse())
 
 
 def dense_expand_oracle(ctx, poly: MultiPoly) -> list:
@@ -249,7 +340,7 @@ def dense_expand_oracle(ctx, poly: MultiPoly) -> list:
     ``ctx``, as the inverse of the monomial-coordinate basis matrix times the
     monomial coordinates of ``poly``."""
     index = {m: i for i, m in enumerate(graded_indices(ctx.n, ctx.d))}
-    return _dense_basis_inverse(ctx.d, ctx.n, ctx.gamma.gamma).matvec(poly.coordinates(index))
+    return _dense_basis_inverse(ctx.d, ctx.n, ctx.gamma.gamma).matvec(coordinates(poly, index))
 
 
 @functools.cache
@@ -314,7 +405,7 @@ def generator_rank_oracle(d: int, gamma, degree: int = 3) -> int:
         op = l_operator(i, j, d, params)
         flat = []
         for exponent in monomials:
-            flat.extend(op.apply(MultiPoly.monomial(d, exponent)).coordinates(index))
+            flat.extend(coordinates(op.apply(MultiPoly.monomial(d, exponent)), index))
         span.add(flat)
     return span.dim
 
@@ -340,9 +431,10 @@ def relations_oracle(ctx) -> CheckResult:
     if not (m(1) - m(2) - m(2, "minus") + m(3, "minus") - m(d, "plus")).is_zero():
         return CheckResult("relations", "fail", "dependence identity fails")
     if d == 3:
-        total = ctx.generator_sum(combinations(range(1, d + 2), 2))
-        l234, l34, l134 = ctx.m_matrix(2), ctx.m_matrix(3), ctx.m_matrix(2, "plus")
-        l123, l23 = ctx.m_matrix(2, "minus"), ctx.m_matrix(3, "minus")
+        total = RingMatrix.of(ctx.generator_sum(combinations(range(1, d + 2), 2)))
+        l234, l34 = RingMatrix.of(ctx.m_matrix(2)), RingMatrix.of(ctx.m_matrix(3))
+        l134 = RingMatrix.of(ctx.m_matrix(2, "plus"))
+        l123, l23 = RingMatrix.of(ctx.m_matrix(2, "minus")), RingMatrix.of(ctx.m_matrix(3, "minus"))
         closure = [
             ((1, 2), total - l134 - l234 + l34),
             ((1, 3), l123 + l134 + l234 - total - l23 - l34),
@@ -368,7 +460,7 @@ def f_relation_matrix_oracle(ctx) -> CheckResult:
     choices = _f_index_choices(d)
     for i, j, k, l in choices:
         factor = (1 - gamma[k] ** 2) * (1 - gamma[l] ** 2)
-        f_matrix = f_formula(ctx.generator_matrix, i, j, k, l, gamma)
+        f_matrix = f_formula(lambda a, b: RingMatrix.of(ctx.generator_matrix(a, b)), i, j, k, l, gamma)
         if factor == 0:
             if not f_matrix.is_zero():
                 return CheckResult(
@@ -377,7 +469,7 @@ def f_relation_matrix_oracle(ctx) -> CheckResult:
                     f"F at (i,j,k,l)={(i,j,k,l)} nonzero although (1-g_k^2)(1-g_l^2)=0",
                 )
             continue
-        if f_matrix != ctx.generator_matrix(i, j).scale(factor):
+        if f_matrix != RingMatrix.of(ctx.generator_matrix(i, j)).scale(factor):
             return CheckResult(
                 "f-relation", "fail", f"matrix identity fails for (i,j,k,l)={(i,j,k,l)}"
             )
@@ -389,13 +481,13 @@ def matrix_commutation_oracle(ctx) -> CheckResult:
     multiplying the matrices on the level of ``ctx``."""
     d = ctx.d
     for i, j in combinations(range(1, d + 1), 2):
-        a, b = ctx.m_matrix(i), ctx.m_matrix(j)
+        a, b = RingMatrix.of(ctx.m_matrix(i)), RingMatrix.of(ctx.m_matrix(j))
         if a @ b != b @ a:
             return CheckResult("kd-matrix", "fail", f"[M_{i}, M_{j}] != 0 on the module")
     pairs = list(combinations(range(1, d + 2), 2))
     for (i, j), (k, l) in combinations(pairs, 2):
         if len({i, j, k, l}) == 4:
-            a, b = ctx.generator_matrix(i, j), ctx.generator_matrix(k, l)
+            a, b = RingMatrix.of(ctx.generator_matrix(i, j)), RingMatrix.of(ctx.generator_matrix(k, l))
             if a @ b != b @ a:
                 return CheckResult(
                     "kd-matrix", "fail", f"[L_({i},{j}), L_({k},{l})] != 0 on the module"

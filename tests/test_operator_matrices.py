@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from oracles import (
+    RingMatrix,
     f_relation_matrix_oracle,
     matrix_commutation_oracle,
     operator_matrix_oracle,
@@ -57,8 +58,9 @@ def _library_matrices(ctx) -> dict:
         out[("hat", 1)] = ctx.generator_matrix(1, 2)
         for a in (1, 2):
             out[("hat", a + 1)] = ctx.generator_sum((a, j) for j in range(3, d + 2))
+    generator = lambda a, b: RingMatrix.of(ctx.generator_matrix(a, b))
     for choice in _f_choices(d):
-        out[("F",) + choice] = f_formula(ctx.generator_matrix, *choice, ctx.gamma)
+        out[("F",) + choice] = f_formula(generator, *choice, ctx.gamma)
     return out
 
 

@@ -568,3 +568,47 @@ def test_kd_checks_only_the_generating_relations(monkeypatch, d):
     gamma = sample_valid_gammas(70 + d, d, 1)[0]
     assert verify._kd_verdict.__wrapped__(d, gamma)[0] == "pass"
     assert calls[d] == comb(d + 1, 2) * comb(d - 1, 2) // 2 + 2 * comb(d + 1, 3)
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (3, 2)])
+def test_a_wrong_jucys_murphy_operator_fails_spectral_and_orthogonality(monkeypatch, d, n):
+    right = verify.m_operator
+
+    def wrong(j, d, gamma, variant="plain"):
+        op = right(j, d, gamma, variant)
+        return op.scale(2) if j == 2 else op
+
+    monkeypatch.setattr(verify, "m_operator", wrong)
+    gamma = sample_valid_gammas(80 + d, d, 1, positive=True)[0]
+    report = run_suites(d, n, gamma, ("spectral", "orthogonality"))
+    assert [c.status for c in report.checks] == ["fail", "fail"]
+    # lambda_2(mu) = 0 only where mu_2 = ... = mu_d = 0, so doubling M_2 first
+    # shows after (n, 0, ...) on level n, and on level 1 for orthogonality,
+    # which names the lowest failing level
+    top, low = (n - 1, 1) + (0,) * (d - 2), (0, 1) + (0,) * (d - 2)
+    assert [c.details for c in report.checks] == [
+        f"M_2 P_{mu} != lambda_2({mu}) P_{mu}" for mu in (top, low)
+    ]
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 2), (4, 1)])
+def test_spectral_and_orthogonality_apply_each_m_j_once_per_graded_index(monkeypatch, d, n):
+    applied = Counter()
+    right = verify.m_operator
+
+    def counted(j, d, gamma, variant="plain"):
+        op = right(j, d, gamma, variant)
+
+        class Counted:
+            def apply(self, poly):
+                applied[(j, poly)] += 1
+                return op.apply(poly)
+
+        return Counted()
+
+    monkeypatch.setattr(verify, "m_operator", counted)
+    gamma = sample_valid_gammas(90 + d, d, 1, positive=True)[0]
+    report = run_suites(d, n, gamma, ("spectral", "orthogonality"))
+    assert report.ok
+    polys = ModuleContext(d, n, gamma).polys
+    assert applied == {(j, polys[mu]): 1 for j in range(1, d + 1) for mu in polys}
