@@ -32,7 +32,6 @@ from .poly import MultiPoly
 from .racah import (
     RacahOp,
     RacahParamVector,
-    ZFraction,
     b12_operator,
     b123_operator,
     b134_operator,
@@ -40,8 +39,6 @@ from .racah import (
     certificate_2d,
     parameter_maps,
     predicted_m_action,
-    racah_coefficient,
-    racah_operator,
 )
 from .scalar import Rat, as_rat, pochhammer, rat_str
 from .verify import (

@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch
-from .scalar import ONE, Rat, as_rat, rat_str
+from .scalar import ONE, as_rat, rat_str
 
 Exponent = "tuple[int, ...]"
 
@@ -149,6 +149,10 @@ class MultiPoly:
             return MultiPoly.zero(self.dim)
         return MultiPoly._raw(self.dim, {e: c * value for e, c in self.terms.items()})
 
+    def __truediv__(self, value) -> "MultiPoly":
+        """Division by a nonzero scalar."""
+        return self.scale(1 / as_rat(value))
+
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative int")
@@ -186,33 +190,6 @@ class MultiPoly:
             if order:
                 poly = poly.deriv(index, order)
         return poly
-
-    def evaluate(self, point) -> Rat:
-        point = [as_rat(v) for v in point]
-        if len(point) != self.dim:
-            raise DimensionMismatch(f"point of length {len(point)} for dim {self.dim}")
-        if not self.terms:
-            return Rat(0)
-        # per-variable power tables: monomials share most of their factors
-        max_exp = [0] * self.dim
-        for exponent in self.terms:
-            for i, e in enumerate(exponent):
-                if e > max_exp[i]:
-                    max_exp[i] = e
-        tables = []
-        for v, top in zip(point, max_exp):
-            table = [Rat(1)] * (top + 1)
-            for e in range(1, top + 1):
-                table[e] = table[e - 1] * v
-            tables.append(table)
-        total = Rat(0)
-        for exponent, coefficient in self.terms.items():
-            value = coefficient
-            for i, e in enumerate(exponent):
-                if e:
-                    value *= tables[i][e]
-            total += value
-        return total
 
     def subs_var(self, index: int, replacement: "MultiPoly") -> "MultiPoly":
         """Substitute a polynomial for the variable x_{index+1} (same dim)."""

@@ -15,8 +15,8 @@ numerator product vanishes the summand is 0 and the denominator is never
 touched, otherwise a vanishing denominator raises ``DegenerateParameter``
 naming the form by its label.
 
-*The general family.*  ``racah_operator(j, beta)`` builds the I-invariant
-difference operator
+*The general family.*  ``racah_operator(j, beta)`` (in the test oracles)
+builds the I-invariant difference operator
 
     B_j(z; beta) = sum_{p in {-1,0,1}^j} C_{j,p}(z) E_z^p
                    - ( z_{j+1}(z_{j+1}+beta_{j+1}) + (beta_0+1)(beta_{j+1}-1)/2 ) Id
@@ -24,10 +24,10 @@ difference operator
 whose coefficients C_{j,p} are rational functions of z_1..z_{j+1} assembled
 from the quadratic kernels B_i^{a,b} and the univariate-linear denominators
 b_i^{0/1}; sign patterns with -1 entries are obtained by applying the
-involutions I_k : z_k -> -z_k - beta_k.  ``racah_operator`` keeps them as
-exact fractions whose denominators are products of univariate linear
-factors, with the removable factors cancelled symbolically (synthetic
-division).
+involutions I_k : z_k -> -z_k - beta_k.  ``_build_racah_operator`` keeps
+them as exact fractions whose denominators are products of univariate linear
+factors, with the factors that vanish identically in z cancelled by
+synthetic division.  No CLI run builds them.
 
 ``predicted_m_action`` maps the general family onto the degree indices nu and
 produces the difference operators representing the cyclic Jucys-Murphy
@@ -35,21 +35,21 @@ operators M_j^+ and M_j^- on the span of {P_nu : |nu| = n}: the plus variant
 is conjugated by g(nu) = (1+gamma_1)_{nu_1} / (|gamma|+2n+d-nu_1)_{nu_1} and
 shifted by the constant n(n + beta^+_j - beta^+_0 - 1).  Its coefficients
 are evaluated pointwise from the product form: the kernels over the factors
-b_i at the involuted point, times the g(nu) factor.  Wherever no factor of
-that unreduced denominator vanishes, this is exactly the value of the
-reduced fraction, whose denominator divides it.  Where one vanishes, the
-value may be a finite limit that numerator-first evaluation would miss, so
-the folded, reduced fractions are built (once per operator) and evaluated
-there instead.
+b_i at the involuted point, times the g(nu) factor.  Every matrix entry is a
+rational function of gamma that is regular at a valid gamma0.  Wherever no
+factor of the unreduced denominator vanishes, the product form's value is
+that entry.  Where one vanishes, the same product form runs over Q[t] at
+gamma0 + t·v for a fixed direction v, and the entry is its exact limit as
+t -> 0.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
-from math import prod
+from math import isqrt, prod
 from typing import Callable, Sequence
 
 from .errors import DegenerateParameter, DimensionMismatch, InvariantViolation
@@ -111,13 +111,6 @@ class ZFraction:
         self.num = num
         self.den = {k: m for k, m in (den or {}).items() if m}
 
-    @classmethod
-    def from_const(cls, nvars: int, value) -> "ZFraction":
-        return cls(nvars, MultiPoly.const(nvars, value))
-
-    def mul_poly(self, poly: MultiPoly) -> "ZFraction":
-        return ZFraction(self.nvars, self.num * poly, dict(self.den))
-
     def mul_scalar(self, value) -> "ZFraction":
         return ZFraction(self.nvars, self.num.scale(value), dict(self.den))
 
@@ -127,15 +120,6 @@ class ZFraction:
         key = (var, as_rat(root))
         den[key] = den.get(key, 0) + 1
         return ZFraction(self.nvars, self.num, den)
-
-    def den_poly(self) -> MultiPoly:
-        out = MultiPoly.const(self.nvars, 1)
-        for (var, root), mult in self.den.items():
-            factor = MultiPoly.variable(self.nvars, var - 1) - MultiPoly.const(
-                self.nvars, root
-            )
-            out = out * factor ** mult
-        return out
 
     def add(self, other: "ZFraction") -> "ZFraction":
         """Exact sum over the least common denominator, then reduce."""
@@ -158,9 +142,6 @@ class ZFraction:
             if deficit:
                 right = right * factor ** deficit
         return ZFraction(self.nvars, left + right, common).reduce()
-
-    def add_const(self, value) -> "ZFraction":
-        return self.add(ZFraction.from_const(self.nvars, value))
 
     def reduce(self) -> "ZFraction":
         num = self.num
@@ -207,26 +188,6 @@ class ZFraction:
             raise ValueError(f"z_{var} occurs in the denominator")
         return ZFraction(self.nvars, self.num.subs_value(var - 1, value), dict(self.den))
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def equals(self, other: "ZFraction") -> bool:
-        """Exact equality as rational functions (cross multiplication)."""
-        return (self.num * other.den_poly()) == (other.num * self.den_poly())
-
-    def evaluate(self, zvals: Sequence) -> Rat:
-        zvals = [as_rat(v) for v in zvals]
-        den_value = Rat(1)
-        for (var, root), mult in self.den.items():
-            factor = zvals[var - 1] - root
-            if factor == 0:
-                raise DegenerateParameter(
-                    f"denominator factor (z_{var} - {rat_str(root)}) vanishes at "
-                    f"z = ({', '.join(rat_str(v) for v in zvals)})"
-                )
-            den_value *= factor ** mult
-        return self.num.evaluate(zvals) / den_value
-
 
 # ---------------------------------------------------------------------------
 # the general I-invariant family
@@ -242,9 +203,6 @@ class RacahParamVector:
     def __getitem__(self, i: int) -> Rat:
         return self.values[i]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def parameter_maps(gamma, n: int, d: int) -> "tuple[RacahParamVector, RacahParamVector]":
     """The two parameter sets feeding the general family:
@@ -252,12 +210,21 @@ def parameter_maps(gamma, n: int, d: int) -> "tuple[RacahParamVector, RacahParam
         beta+_0 = gamma_1,  beta+_j = -(gamma_{j+1}+...+gamma_{d+1}) - 2n - d + j,
         beta-_j = gamma_{d+1-j}+...+gamma_{d+1} + j.
     """
-    params = require_valid(gamma, d)
-    plus = [params[1]] + [
-        -params.tail_sum(j + 1) - 2 * n - d + j for j in range(1, d + 1)
-    ]
-    minus = [params.tail_sum(d + 1 - j) + j for j in range(0, d + 1)]
-    return RacahParamVector(tuple(plus)), RacahParamVector(tuple(minus))
+    g = require_valid(gamma, d).gamma
+    return tuple(RacahParamVector(tuple(beta)) for beta in _beta_maps(g, n, d))
+
+
+def _beta_maps(g, n: int, d: int) -> "tuple[list, list]":
+    """beta+ and beta- of ``parameter_maps`` for g = (gamma_1, ..., gamma_{d+1})
+    over any ring: they are affine in g, so at gamma0 + t·v they come out as
+    c0 + c1·t.  No validity check, since gamma0 + t·v need not be valid at t = 1."""
+
+    def tail(j):
+        return sum(g[j - 1 :], Rat(0))
+
+    plus = [g[0]] + [-tail(j + 1) - 2 * n - d + j for j in range(1, d + 1)]
+    minus = [tail(d + 1 - j) + j for j in range(0, d + 1)]
+    return plus, minus
 
 
 def _zvar(nvars: int, k: int) -> MultiPoly:
@@ -287,8 +254,9 @@ def kernel_poly(i: int, bit1: int, bit2: int, beta, nvars: int) -> MultiPoly:
 
 
 def _b_denominator(i: int, bit: int, beta) -> "tuple[Rat, list]":
-    """b_i^bit as (constant, [(var, root), ...]) with monic linear factors."""
-    b_i = as_rat(beta[i])
+    """b_i^bit as (constant, [(var, root), ...]) with monic linear factors,
+    over the ring of beta: rationals, or polynomials in t."""
+    b_i = beta[i]
     if bit == 0:
         # (2z+b+1)(2z+b-1)/2 = 2 (z - r1)(z - r2)
         return Rat(2), [(i, -(b_i + 1) / 2), (i, -(b_i - 1) / 2)]
@@ -332,38 +300,12 @@ class ZShiftOp:
     beta: tuple
     terms: dict  # shift pattern in {-1,0,1}^j -> ZFraction
 
-    def apply_involution(self, k: int) -> "ZShiftOp":
-        """I_k: flip the k-th shift and transform every coefficient."""
-        out = {}
-        for sigma, frac in self.terms.items():
-            flipped = tuple(-s if idx == k - 1 else s for idx, s in enumerate(sigma))
-            out[flipped] = frac.involution(k, self.beta[k]).reduce()
-        return ZShiftOp(self.j, self.nvars, self.beta, out)
-
-    def equals(self, other: "ZShiftOp") -> bool:
-        shifts = set(self.terms) | set(other.terms)
-        zero = ZFraction.from_const(self.nvars, 0)
-        return all(
-            self.terms.get(s, zero).equals(other.terms.get(s, zero)) for s in shifts
-        )
-
 
 def _sign_patterns(j: int) -> list:
     """{-1,0,1}^j in the term order of the general family: the patterns in
     {0,1}^j first, then the others by their number of -1 slots."""
     mixed = [p for p in product((-1, 0, 1), repeat=j) if -1 in p]
     return list(product((0, 1), repeat=j)) + sorted(mixed, key=lambda p: p.count(-1))
-
-
-def racah_operator(j: int, beta, boundary=None) -> ZShiftOp:
-    """The I-invariant operator B_j(z;beta); beta supplies beta_0..beta_{j+1}.
-
-    When ``boundary`` is given, the spectator variable z_{j+1} is fixed to
-    that value before the coefficients are reduced (its value is constant on
-    the index sets this operator ultimately acts on).
-    """
-    beta = tuple(as_rat(b) for b in beta)
-    return _racah_operator_cached(j, beta[: j + 2], boundary)
 
 
 def _racah_operator_cached(j: int, beta, boundary) -> ZShiftOp:
@@ -432,11 +374,9 @@ class CoefficientEvaluator:
         raise NotImplementedError
 
     def strict_value(self, nu):
-        """(value, None) under strict semantics, or (None, problem)."""
-        try:
-            return self.eval(nu), None
-        except DegenerateParameter as exc:
-            return None, str(exc)
+        """(value, None) under strict semantics, or (None, problem); an
+        evaluator that is never degenerate keeps this default."""
+        return self.eval(nu), None
 
 
 @dataclass(frozen=True)
@@ -777,6 +717,42 @@ def certificate_2d(nu, gamma) -> Rat:
 # -- the general family specialized to degree indices ------------------------
 
 
+def _direction(size: int) -> tuple:
+    """The fixed direction v of the limits, (1/3, 1/7, 1/11, 1/19, ...): the
+    reciprocals of the first ``size`` primes p = 3 (mod 4).  The t-slope of
+    every denominator factor of the product form is, up to sign and a factor
+    1/2, the sum of a nonempty set of them, so it is never 0."""
+    primes, p = [], 3
+    while len(primes) < size:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            primes.append(p)
+        p += 4
+    return tuple(Rat(1, p) for p in primes)
+
+
+def _limit_at_zero(num: MultiPoly, den: MultiPoly) -> Rat:
+    """lim_{t -> 0} num/den for polynomials in one variable t: the ratio of
+    the t^v coefficients, v the t-valuation of den.  The quotient is regular
+    at t = 0 whenever it is a matrix entry at a valid gamma0, so a lower
+    valuation of num, or a den that vanishes identically, is a defect."""
+    if den.is_zero():
+        raise InvariantViolation("denominator vanishes identically along gamma0 + t·v")
+    v = min(e for (e,) in den.terms)
+    if num.terms and min(e for (e,) in num.terms) < v:
+        raise InvariantViolation(f"pole of order {v - min(e for (e,) in num.terms)} at t = 0")
+    return num.terms.get((v,), Rat(0)) / den.terms[(v,)]
+
+
+def _b_table(m: int, beta) -> dict:
+    """(k, bit) -> b_k^bit as (constant, roots of its monic linear factors)."""
+    table = {}
+    for k in range(1, m + 1):
+        for bit in (0, 1):
+            const, factors = _b_denominator(k, bit, beta)
+            table[k, bit] = (const, [root for _, root in factors])
+    return table
+
+
 class _FoldedFamily:
     """The coefficients of one predicted M_j action, C_{m,sigma} read on nu.
 
@@ -784,29 +760,26 @@ class _FoldedFamily:
     kernels B_k over the factors b_k at I_sigma(z), times the g(nu) fold
     factor of the plus variant, and on the zero shift minus the identity
     term plus the plus variant's constant.  Where no unreduced denominator
-    factor vanishes this is the value of the reduced fraction, whose
-    denominator divides the unreduced one; where one does, ``value`` returns
-    None and ``exact`` supplies the folded, reduced ZFractions, built once.
+    factor vanishes this is the coefficient's value.  Where one does,
+    ``_limit`` runs the same product form over Q[t], with beta and the fold's
+    (g_1, A) at gamma0 + t·v (``series``, called on the first limit) and z
+    and the boundary free of t, and returns its exact limit as t -> 0.  The
+    zero shift's polynomial terms are continuous, so they are read at t = 0.
     """
 
-    def __init__(self, m: int, beta, boundary, fold, constant, z_of_nu: Callable):
+    def __init__(self, m: int, beta, boundary, fold, constant, z_of_nu: Callable, series):
         self.m = m
         self.beta = tuple(as_rat(b) for b in beta[: m + 2])
         self.boundary = boundary
         self.fold = fold  # (gamma_1, A) for the plus variant, else None
         self.constant = constant
         self.z_of_nu = z_of_nu
-        # b_k^bit for k = 1..m as (constant, roots of its monic linear factors)
-        self.b_factors = {}
-        for k in range(1, m + 1):
-            for bit in (0, 1):
-                const, factors = _b_denominator(k, bit, self.beta)
-                self.b_factors[k, bit] = (const, [root for _, root in factors])
+        self.b_factors = _b_table(m, self.beta)
         self.identity_const = (self.beta[0] + 1) * (self.beta[m + 1] - 1) / 2
-        self._exact = None
+        self.series = series  # () -> (beta, fold) over Q[t] along gamma0 + t·v
 
-    def value(self, sigma, z):
-        """C_sigma at z from the product form, or None on a vanishing factor."""
+    def value(self, sigma, z) -> Rat:
+        """C_sigma at z from the product form, or its limit along gamma0 + t·v."""
         m, beta = self.m, self.beta
         zs = [0, *z]  # zs[k] = z_k with z_0 = 0
         if self.boundary is not None:
@@ -834,72 +807,63 @@ class _FoldedFamily:
                 fold_num = A - z1
                 den.append(z1 + g1)
         if 0 in den:
-            return None
-        value = as_rat(fold_num)
-        for k in range(m + 1):
-            value *= _kernel(bits[k], bits[k + 1], zs[k], zs[k + 1], beta[k], beta[k + 1])
-            if value == 0:
-                break
+            value = self._limit(sigma, z)
         else:
-            value /= prod(den)
+            value = as_rat(fold_num)
+            for k in range(m + 1):
+                value *= _kernel(bits[k], bits[k + 1], zs[k], zs[k + 1], beta[k], beta[k + 1])
+                if value == 0:
+                    break
+            else:
+                value /= prod(den)
         if not any(sigma):
             last = zs[m + 1]
             value -= last * (last + beta[m + 1]) + self.identity_const
             value += self.constant
         return value
 
-    def exact(self) -> dict:
-        """sigma -> the folded, reduced ZFraction of C_sigma (built on first use)."""
-        if self._exact is None:
-            zop = racah_operator(self.m, self.beta, boundary=self.boundary)
-            self._exact = zop.terms if self.fold is None else self._folded(zop)
-        return self._exact
+    @cached_property
+    def _over_t(self):
+        """beta, the fold and the b table over Q[t], built on the first limit."""
+        beta, fold = self.series()
+        beta = tuple(beta[: self.m + 2])
+        return beta, fold, _b_table(self.m, beta)
 
-    def _folded(self, zop: ZShiftOp) -> dict:
-        """Fold the diagonal conjugation by g(nu) into each coefficient."""
-        g1, A = self.fold
-        nvars = zop.nvars
-        z1 = MultiPoly.variable(nvars, 0)
-        folded = {}
-        for sigma, frac in zop.terms.items():
-            if sigma[0] == 1:
-                frac = frac.mul_poly(z1 + MultiPoly.const(nvars, g1 + 1))
-                frac = frac.mul_scalar(-1).div_linear(1, A - 1)
-            elif sigma[0] == -1:
-                frac = frac.mul_poly(z1.scale(-1) + MultiPoly.const(nvars, A))
-                frac = frac.div_linear(1, -g1)
-            folded[sigma] = frac.reduce()
-        zero = (0,) * self.m
-        folded[zero] = folded[zero].add_const(self.constant)
-        return folded
+    def _limit(self, sigma, z) -> Rat:
+        """The product form of C_sigma as in ``value``, over Q[t], as its
+        exact limit t -> 0."""
+        m = self.m
+        beta, fold, b_factors = self._over_t
+        zs = [0, *z]
+        if self.boundary is not None:
+            zs[m + 1] = self.boundary
+        z1 = zs[1]
+        bits = (0, *map(abs, sigma), 0)
+        for k, s in enumerate(sigma, start=1):
+            if s == -1:
+                zs[k] = -zs[k] - beta[k]
+        num, den = 1, 1
+        for k in range(1, m + 1):
+            const, roots = b_factors[k, bits[k]]
+            den = prod((zs[k] - root for root in roots), start=den * const)
+        if fold is not None and sigma[0]:
+            g1, A = fold  # the g(nu+mu)/g(nu) factor, as in value
+            num, den = (z1 + g1 + 1, den * (A - 1 - z1)) if sigma[0] == 1 else (A - z1, den * (z1 + g1))
+        for k in range(m + 1):
+            num = _kernel(bits[k], bits[k + 1], zs[k], zs[k + 1], beta[k], beta[k + 1]) * num
+        return _limit_at_zero(num, den)
 
 
 class ZMappedCoefficient(CoefficientEvaluator):
-    """One general-family coefficient read through a nu -> z change of variables.
-
-    Evaluated from the product form; the reduced fraction ``frac`` is used
-    only where a factor of the unreduced denominator vanishes.
-    """
+    """One general-family coefficient read through a nu -> z change of variables."""
 
     def __init__(self, family: _FoldedFamily, sigma: tuple):
         self.family = family
         self.sigma = sigma
         self.z_of_nu = family.z_of_nu
 
-    @property
-    def frac(self) -> ZFraction:
-        """The folded, reduced ZFraction of this coefficient."""
-        return self.family.exact()[self.sigma]
-
     def eval(self, nu) -> Rat:
-        z = self.z_of_nu(tuple(nu))
-        value = self.family.value(self.sigma, z)
-        if value is not None:
-            return value
-        try:
-            return self.frac.evaluate(z)
-        except DegenerateParameter as exc:
-            raise DegenerateParameter(f"{exc} [nu={tuple(nu)}]") from None
+        return self.family.value(self.sigma, self.z_of_nu(tuple(nu)))
 
 
 def predicted_m_action(variant: str, j: int, n: int, d: int, gamma) -> RacahOp:
@@ -910,6 +874,15 @@ def predicted_m_action(variant: str, j: int, n: int, d: int, gamma) -> RacahOp:
         raise ValueError(f"j must satisfy 2 <= j <= {d}")
     params = require_valid(gamma, d)
     beta_plus, beta_minus = parameter_maps(params, n, d)
+
+    def series():
+        """beta and the fold over Q[t] at gamma0 + t·v, by the same affine maps."""
+        t = MultiPoly.variable(1, 0)
+        g = [t.scale(v) + g0 for g0, v in zip(params.gamma, _direction(d + 1))]
+        plus, minus = _beta_maps(g, n, d)
+        if variant == "minus":
+            return minus, None
+        return plus, (g[0], sum(g, Rat(0)) + 2 * n + d)
 
     if variant == "plus":
         m = j - 1
@@ -950,7 +923,7 @@ def predicted_m_action(variant: str, j: int, n: int, d: int, gamma) -> RacahOp:
 
         name = f"R-:{j}"
 
-    family = _FoldedFamily(m, beta.values, boundary, fold, constant, z_of_nu)
+    family = _FoldedFamily(m, beta.values, boundary, fold, constant, z_of_nu, series)
     terms = [
         RacahTerm(shift_of(sigma), ZMappedCoefficient(family, sigma))
         for sigma in _sign_patterns(m)

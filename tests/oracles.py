@@ -22,14 +22,17 @@ accumulating weighted monomial products in one pass, the F relation and
 commutation oracles evaluate F and the commutators on the generator matrices
 of one level instead of reporting the operator identities that hold for
 every level, and the kd oracle checks all three forms of each triple relation
-and every [M_i, M_j] instead of only the relations that generate them.
+and every [M_i, M_j] instead of only the relations that generate them, and the
+reduced-fraction oracle builds the general Racah family as exact rational
+functions of z with removable factors cancelled by synthetic division
+instead of taking limits of its product form along gamma0 + t·v.
 """
 
 import functools
 import operator
 import random
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 
 from simplexalg.diffops import (
     DiffOp,
@@ -40,13 +43,14 @@ from simplexalg.diffops import (
     m_operator,
     m_pairs,
 )
-from simplexalg.errors import DimensionMismatch, InvalidParameter
+from simplexalg.errors import DegenerateParameter, DimensionMismatch, InvalidParameter
 from simplexalg.jacobi import graded_indices, jacobi1d_coeffs, jacobi_simplex
 from simplexalg.linalg import ExactMatrix, SpanBasis
 from simplexalg.moments import simplex_moment
 from simplexalg.params import ParamVector, check_gamma, check_jacobi_params, require_valid
 from simplexalg.poly import MultiPoly
-from simplexalg.scalar import Rat, as_rat
+from simplexalg.racah import ZFraction, ZShiftOp, _racah_operator_cached
+from simplexalg.scalar import Rat, as_rat, rat_str
 from simplexalg.verify import CheckResult, _f_index_choices
 
 
@@ -64,6 +68,17 @@ def coordinates(poly: MultiPoly, index) -> list:
     for exponent, value in poly.terms.items():
         column[index[exponent]] = value
     return column
+
+
+def poly_value(poly: MultiPoly, point) -> Rat:
+    """poly at a point, one monomial at a time."""
+    point = [as_rat(v) for v in point]
+    if len(point) != poly.dim:
+        raise DimensionMismatch(f"point of length {len(point)} for dim {poly.dim}")
+    return sum(
+        (c * prod(v ** e for v, e in zip(point, exponent)) for exponent, c in poly.terms.items()),
+        Rat(0),
+    )
 
 
 def jacobi1d(n: int, alpha, beta) -> MultiPoly:
@@ -519,3 +534,85 @@ def kd_relations_oracle(d: int, gamma) -> tuple:
         if not commutator(mi, mj).is_zero():
             return "fail", f"[M_{ji}, M_{jj}] != 0"
     return "pass", f"all commutativity relations hold for d={d}"
+
+
+# -- the general Racah family as reduced fractions ---------------------------
+
+
+def racah_operator(j: int, beta, boundary=None) -> ZShiftOp:
+    """The I-invariant operator B_j(z;beta); beta supplies beta_0..beta_{j+1}.
+
+    When ``boundary`` is given, the spectator variable z_{j+1} is fixed to
+    that value before the coefficients are reduced (its value is constant on
+    the index sets this operator ultimately acts on).
+    """
+    beta = tuple(as_rat(b) for b in beta)
+    return _racah_operator_cached(j, beta[: j + 2], boundary)
+
+
+def fraction_value(frac: ZFraction, zvals) -> Rat:
+    """frac at z; DegenerateParameter where a denominator factor vanishes."""
+    zvals = [as_rat(v) for v in zvals]
+    den_value = Rat(1)
+    for (var, root), mult in frac.den.items():
+        factor = zvals[var - 1] - root
+        if factor == 0:
+            raise DegenerateParameter(
+                f"denominator factor (z_{var} - {rat_str(root)}) vanishes at "
+                f"z = ({', '.join(rat_str(v) for v in zvals)})"
+            )
+        den_value *= factor ** mult
+    return poly_value(frac.num, zvals) / den_value
+
+
+def _den_poly(frac: ZFraction) -> MultiPoly:
+    out = MultiPoly.const(frac.nvars, 1)
+    for (var, root), mult in frac.den.items():
+        out = out * (MultiPoly.variable(frac.nvars, var - 1) - root) ** mult
+    return out
+
+
+def fractions_equal(a: ZFraction, b: ZFraction) -> bool:
+    """Exact equality as rational functions (cross multiplication)."""
+    return a.num * _den_poly(b) == b.num * _den_poly(a)
+
+
+def involution_image(op: ZShiftOp, k: int) -> ZShiftOp:
+    """I_k: flip the k-th shift and transform every coefficient."""
+    out = {}
+    for sigma, frac in op.terms.items():
+        flipped = tuple(-s if idx == k - 1 else s for idx, s in enumerate(sigma))
+        out[flipped] = frac.involution(k, op.beta[k]).reduce()
+    return ZShiftOp(op.j, op.nvars, op.beta, out)
+
+
+def shift_ops_equal(a: ZShiftOp, b: ZShiftOp) -> bool:
+    zero = ZFraction(a.nvars, MultiPoly.zero(a.nvars))
+    return all(
+        fractions_equal(a.terms.get(s, zero), b.terms.get(s, zero))
+        for s in set(a.terms) | set(b.terms)
+    )
+
+
+def folded_fractions(family) -> dict:
+    """sigma -> the folded, reduced ZFraction of C_sigma for the family of one
+    predicted M_j action: the general family built symbolically, times the
+    g(nu) conjugation factor of the plus variant, plus its constant on the
+    zero shift."""
+    zop = racah_operator(family.m, family.beta, boundary=family.boundary)
+    if family.fold is None:
+        return zop.terms
+    g1, A = family.fold
+    nvars = zop.nvars
+    z1 = MultiPoly.variable(nvars, 0)
+    folded = {}
+    for sigma, frac in zop.terms.items():
+        if sigma[0] == 1:
+            frac = ZFraction(nvars, frac.num * (z1 + (g1 + 1)), frac.den)
+            frac = frac.mul_scalar(-1).div_linear(1, A - 1)
+        elif sigma[0] == -1:
+            frac = ZFraction(nvars, frac.num * (A - z1), frac.den).div_linear(1, -g1)
+        folded[sigma] = frac.reduce()
+    zero = (0,) * family.m
+    folded[zero] = folded[zero].add(ZFraction(nvars, MultiPoly.const(nvars, family.constant)))
+    return folded

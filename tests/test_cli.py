@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from simplexalg import cli
+from simplexalg import cli, verify
 from simplexalg.cli import (
     EXIT_DEGENERATE,
     EXIT_FAIL,
@@ -23,12 +23,12 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_module(*argv):
+def run_module(*argv, python_flags=()):
     """``python -m simplexalg.cli`` in a child that imports the checkout's src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "simplexalg.cli", *argv],
+        [sys.executable, *python_flags, "-m", "simplexalg.cli", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
 
@@ -184,14 +184,32 @@ def test_d_below_two_is_usage_error(capsys):
     assert all(line.startswith("usage error:") for line in lines)
 
 
-def test_unexpected_exception_is_internal_error():
-    # gamma_2 + gamma_3 = -1: a nonzero general-family coefficient escapes
-    # the range, an internal fault rather than a verdict on the cell
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    # gamma_2 + gamma_3 = -1 is the documented strict refusal of B12, and the
+    # general family takes its limits there
     result = run_module("verify", "--gamma", "-1/2,-1/2,-1/2", "--n", "2")
-    assert result.returncode == EXIT_INTERNAL
+    assert result.returncode == EXIT_DEGENERATE
     assert "Traceback" not in result.stderr
-    lines = result.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("internal error: ValueError: ")
+    assert "L12=B12: shift (-1, 1) at nu=(2, 0): denominator form g2+g3+2nu2+1 vanishes" in result.stdout
+
+    # an exception inside a suite is a fault of the program, not a verdict
+    def fault(*args):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(verify, "verify_separation", fault)
+    code = run_cli("verify", "--gamma", "1/2,1/3,1/5", "--n", "1", "--suite", "separation")
+    assert code == EXIT_INTERNAL
+    assert capsys.readouterr().err.splitlines() == ["internal error: RuntimeError: injected fault"]
+
+
+def test_library_invariants_hold_under_python_O():
+    # python -O strips assert statements; the limits of the general family
+    # raise InvariantViolation instead, and this cell takes them
+    result = run_module(
+        "verify", "--gamma", "1/2,-2/3,2/3", "--n", "2", "--suite", "racah", "--mode", "lenient",
+        python_flags=("-O",),
+    )
+    assert result.returncode == EXIT_PASS, result.stderr
 
 
 def test_bad_operator_index_is_usage_error(capsys):

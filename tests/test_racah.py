@@ -2,8 +2,22 @@ from math import prod
 
 import pytest
 
-from oracles import sample_valid_gammas
-from simplexalg.errors import DegenerateParameter
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    folded_fractions,
+    fraction_value,
+    fractions_equal,
+    involution_image,
+    racah_operator,
+    sample_valid_gammas,
+    shift_ops_equal,
+)
+from simplexalg import cli, racah
+from simplexalg.errors import DegenerateParameter, InvariantViolation
 from simplexalg.jacobi import level_indices
 from simplexalg.params import ParamVector
 from simplexalg.poly import MultiPoly
@@ -23,11 +37,11 @@ from simplexalg.racah import (
     parameter_maps,
     predicted_m_action,
     racah_coefficient,
-    racah_operator,
     _b_denominator,
     _kernel,
 )
 from simplexalg.scalar import Rat
+from simplexalg.verify import ModuleContext, run_suites
 
 G0_2 = ParamVector([0, 0, 0])
 G0_3 = ParamVector([0, 0, 0, 0])
@@ -182,19 +196,19 @@ def test_racah_coefficient_matches_paper_product():
     def b1(a, b):
         return _kernel(a, b, z[0], z[1], beta[1], beta[2])
 
-    assert frac.evaluate(z) == b0(0, 0) * b1(0, 0) / _b_value(1, 0, z[0], beta)
+    assert fraction_value(frac, z) == b0(0, 0) * b1(0, 0) / _b_value(1, 0, z[0], beta)
     # C_{1,(1)} = B_0^{01} B_1^{10} / b_1^1
     frac1 = racah_coefficient(1, (1,), beta)
-    assert frac1.evaluate(z) == b0(0, 1) * b1(1, 0) / _b_value(1, 1, z[0], beta)
+    assert fraction_value(frac1, z) == b0(0, 1) * b1(1, 0) / _b_value(1, 1, z[0], beta)
 
 
 def test_involution_is_an_involution():
     beta = [Rat(1, 2), Rat(1, 3), Rat(1, 5)]
     frac = racah_coefficient(1, (1,), beta)
     twice = frac.involution(1, beta[1]).involution(1, beta[1])
-    assert twice.equals(frac)
+    assert fractions_equal(twice, frac)
     # and C_{1,(-1)} is the involution image of C_{1,(1)}
-    assert racah_coefficient(1, (-1,), beta).equals(frac.involution(1, beta[1]))
+    assert fractions_equal(racah_coefficient(1, (-1,), beta), frac.involution(1, beta[1]))
 
 
 def test_zfraction_reduce_and_add():
@@ -205,10 +219,10 @@ def test_zfraction_reduce_and_add():
     assert not reduced.den
     assert reduced.num == z1 + one
     with_pole = ZFraction(2, one).div_linear(1, 1)
-    total = with_pole.add(ZFraction.from_const(2, 1))
-    assert total.evaluate([3, 0]) == Rat(1, 2) + 1
+    total = with_pole.add(ZFraction(2, one))
+    assert fraction_value(total, [3, 0]) == Rat(1, 2) + 1
     with pytest.raises(DegenerateParameter):
-        with_pole.evaluate([1, 0])
+        fraction_value(with_pole, [1, 0])
     with pytest.raises(ValueError):
         with_pole.subs_const(1, 5)
 
@@ -217,9 +231,9 @@ def test_i_invariance_of_the_general_family():
     beta = [Rat(1, 2), Rat(1, 3), Rat(1, 5), Rat(1, 7)]
     op = racah_operator(2, beta)
     for k in (1, 2):
-        assert op.apply_involution(k).equals(op)
+        assert shift_ops_equal(involution_image(op, k), op)
     op1 = racah_operator(1, beta[:3])
-    assert op1.apply_involution(1).equals(op1)
+    assert shift_ops_equal(involution_image(op1, 1), op1)
 
 
 def _eval_padded(frac, point, memo):
@@ -229,7 +243,7 @@ def _eval_padded(frac, point, memo):
     if key not in memo:
         values = list(point)[: frac.nvars]
         values += [Rat(0)] * (frac.nvars - len(values))
-        memo[key] = frac.evaluate(values)
+        memo[key] = fraction_value(frac, values)
     return memo[key]
 
 
@@ -412,67 +426,141 @@ def test_strict_and_lenient_agree_where_strict_finds_no_problem(gamma):
     assert checked
 
 
-# -- pointwise product form against the reduced fractions --------------------
+# -- pointwise product form, its limits and the reduced fractions ------------
 
 # gamma_2 + gamma_3 in {0, -1}: the reduced fractions give a nonzero
 # coefficient that escapes the range
 ESCAPE_GAMMAS = ("-1/2,-5/2,5/2", "1/2,-2/3,2/3", "0,3/2,-3/2", "1,1/2,-1/2")
-# a tail sum gamma_j + ... + gamma_{d+1} is an integer <= 0: the racah suite
-# returns "fail"
+# a tail sum gamma_j + ... + gamma_{d+1} is an integer <= 0: the printed
+# operators' numerator-first evaluation gives a wrong lenient "fail"
 WRONG_FAIL_GAMMAS = ("5/3,1/2,-5/4,-5/4", "1/2,1/2,-1/2,-1/2")
+FAULT_GAMMAS = tuple(ParamVector.parse(text) for text in ESCAPE_GAMMAS + WRONG_FAIL_GAMMAS)
 
 
-def _outcome(evaluate, suffix=""):
+def _general_ops(n, gamma):
+    d = gamma.d
+    for j in range(2, d + 1):
+        for variant in ("plus", "minus"):
+            yield j, variant, predicted_m_action(variant, j, n, d, gamma)
+
+
+def _count_limits(monkeypatch) -> list:
+    """Count the coefficients that take the Q[t] path from now on."""
+    calls = []
+    limit = racah._FoldedFamily._limit
+
+    def counted(family, sigma, z):
+        calls.append(sigma)
+        return limit(family, sigma, z)
+
+    monkeypatch.setattr(racah._FoldedFamily, "_limit", counted)
+    return calls
+
+
+def _outcome(evaluate):
     try:
         return evaluate()
     except DegenerateParameter as exc:
-        return f"DegenerateParameter: {exc}{suffix}"
+        return f"DegenerateParameter: {exc}"
 
 
 def _oracle_gammas():
     gammas = [G_2, G_3, G0_2, G0_3]
     for d in (2, 3, 4):
         gammas += sample_valid_gammas(31 + d, d, 2)
-    return gammas + [ParamVector.parse(text) for text in ESCAPE_GAMMAS + WRONG_FAIL_GAMMAS]
+    return gammas + list(FAULT_GAMMAS)
 
 
 @pytest.mark.parametrize("gamma", _oracle_gammas(), ids=lambda g: ",".join(g.to_json()))
-def test_product_form_agrees_with_reduced_fractions(gamma):
-    """Every coefficient value (or degeneracy message) equals that of the
-    folded, reduced ZFraction; the fractions are needed only off G_2, G_3."""
+def test_product_form_agrees_with_reduced_fractions(gamma, monkeypatch):
+    """Every coefficient value equals that of the folded, reduced fraction,
+    the limits at G0_2 and G0_3 included.  At the fault gammas the reduced
+    fractions can be wrong, so there every R+/-:j matrix is compared with
+    the differential M_j^+/- matrix instead."""
+    limits = _count_limits(monkeypatch)
     d = gamma.d
-    fallbacks = 0
     for n in range(4):
-        for j in range(2, d + 1):
-            for variant in ("plus", "minus"):
-                op = predicted_m_action(variant, j, n, d, gamma)
-                for term in op.terms:
-                    coef = term.coef
-                    for nu in level_indices(n, d):
-                        z = coef.z_of_nu(nu)
-                        fallbacks += coef.family.value(coef.sigma, z) is None
-                        reduced = _outcome(lambda: coef.frac.evaluate(z), f" [nu={nu}]")
-                        assert _outcome(lambda: coef.eval(nu)) == reduced, (
-                            op.name, n, term.shift, nu,
-                        )
-    if gamma in (G_2, G_3):
-        assert fallbacks == 0
-    elif gamma in (G0_2, G0_3) or ",".join(gamma.to_json()) in ESCAPE_GAMMAS + WRONG_FAIL_GAMMAS:
-        assert fallbacks
+        ctx = ModuleContext(d, n, gamma) if gamma in FAULT_GAMMAS else None
+        for j, variant, op in _general_ops(n, gamma):
+            if ctx is not None:
+                assert op.matrix_on_level(n) == ctx.m_matrix(j, variant), (op.name, n)
+                assert op.assemble(n) == (ctx.m_matrix(j, variant), [])
+                continue
+            folded = folded_fractions(op.terms[0].coef.family)  # one family per op
+            for term in op.terms:
+                coef = term.coef
+                reduced = folded[coef.sigma]
+                for nu in level_indices(n, d):
+                    expected = _outcome(lambda: fraction_value(reduced, coef.z_of_nu(nu)))
+                    assert _outcome(lambda: coef.eval(nu)) == expected, (op.name, n, term.shift, nu)
+    if gamma in (G0_2, G0_3) + FAULT_GAMMAS:
+        assert limits
 
 
-def test_generic_cells_never_build_the_reduced_family(monkeypatch):
-    import simplexalg.racah as racah
+@pytest.mark.parametrize("gamma", (G0_2, G0_3) + FAULT_GAMMAS, ids=lambda g: ",".join(g.to_json()))
+def test_limit_does_not_depend_on_the_direction(gamma, monkeypatch):
+    def matrices():
+        return [op.matrix_on_level(n) for n in range(4) for _, _, op in _general_ops(n, gamma)]
+
+    along_v = matrices()
+    # v' = (2/5, 3/13, 5/17, ...): another set of positive rationals whose
+    # nonempty sums never vanish
+    other = tuple(Rat(p, q) for p, q in ((2, 5), (3, 13), (5, 17), (7, 29), (11, 37)))
+    monkeypatch.setattr(racah, "_direction", lambda size: other[:size])
+    assert matrices() == along_v
+
+
+def test_limit_refuses_a_pole_and_a_vanishing_denominator():
+    t = MultiPoly.variable(1, 0)
+    one = MultiPoly.const(1, 1)
+    assert racah._limit_at_zero(t * (t + 3), t.scale(2) * (t + 1)) == Rat(3, 2)
+    assert racah._limit_at_zero(MultiPoly.zero(1), t) == 0
+    assert racah._limit_at_zero(t + 2, one.scale(4)) == Rat(1, 2)
+    with pytest.raises(InvariantViolation, match="pole"):
+        racah._limit_at_zero(t + 1, t * t)
+    with pytest.raises(InvariantViolation, match="identically"):
+        racah._limit_at_zero(one, MultiPoly.zero(1))
+
+
+def test_cli_cells_never_build_the_reduced_family(monkeypatch):
+    builds = []
 
     def refuse(*args):
+        builds.append(args)
         raise AssertionError("the reduced family was built")
 
     monkeypatch.setattr(racah, "_build_racah_operator", refuse)
     monkeypatch.setattr(racah, "_RACAH_CACHE", {})
+    for gamma in (G_2, G_3, G0_2, G0_3) + FAULT_GAMMAS:
+        for mode in ("strict", "lenient"):
+            argv = ["verify", "--gamma", ",".join(gamma.to_json()), "--n", "1,2", "--suite", "racah"]
+            code = cli.main(argv + ["--mode", mode])
+            assert code in (cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_DEGENERATE), (gamma, mode, code)
+    assert builds == []
+
+
+def test_generic_cells_never_take_the_limit(monkeypatch):
+    limits = _count_limits(monkeypatch)
     for gamma in (G_2, G_3):
         for n in range(4):
-            for j in range(2, gamma.d + 1):
-                for variant in ("plus", "minus"):
-                    op = predicted_m_action(variant, j, n, gamma.d, gamma)
-                    assert op.assemble(n)[1] == []
-                    op.matrix_on_level(n)
+            for _, _, op in _general_ops(n, gamma):
+                assert op.assemble(n)[1] == []
+                op.matrix_on_level(n)
+    assert limits == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]), n=st.integers(0, 2))
+def test_sampled_cells_have_exact_general_matrices(seed, d, n):
+    rng = random.Random(seed)
+    gamma = cli.sample_gamma(rng, d)
+    while gamma.violations:  # draw again until valid
+        gamma = cli.sample_gamma(rng, d)
+    ctx = ModuleContext(d, n, gamma)
+    for j, variant, op in _general_ops(n, gamma):
+        assert op.matrix_on_level(n) == ctx.m_matrix(j, variant), (op.name, n)
+    # a lenient racah fail can come only from a printed operator's
+    # numerator-first rule
+    (check,) = run_suites(d, n, gamma, ("racah",), "lenient").checks
+    if check.status == "fail":
+        assert check.details.split(" ")[0] in {"L12=B12", "L23=B23", "L134=B134", "L123=B123"}
