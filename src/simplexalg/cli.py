@@ -12,7 +12,8 @@ difference side.  Gamma values are comma-separated exact rationals ("p/q" or
 integers); decimal input is rejected everywhere.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage error, 3 invalid
-parameters, 4 degenerate parameters in strict mode, 5 internal error (an
+parameters, 4 degenerate parameters (for verify and sweep, a degenerate check
+in strict mode; --mode sets only this policy), 5 internal error (an
 unexpected exception, reported in one line).
 """
 
@@ -127,21 +128,10 @@ def cmd_matrix(args) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        if isinstance(op, RacahOp):
-            if args.mode == "strict":
-                matrix, problems = op.assemble(args.n)
-                if problems:
-                    print("degenerate parameters: " + problems[0], file=sys.stderr)
-                    return EXIT_DEGENERATE
-            else:
-                matrix = op.matrix_on_level(args.n)
-        else:
-            ctx = ModuleContext(args.d, args.n, gamma)
-            matrix = ctx.matrix_of(op)
-    except DegenerateParameter as exc:
-        print(f"degenerate parameters: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    if isinstance(op, RacahOp):
+        matrix = op.matrix_on_level(args.n)  # main reports a DegenerateParameter
+    else:
+        matrix = ModuleContext(args.d, args.n, gamma).matrix_of(op)
     payload = {
         "op": args.op,
         "d": args.d,
@@ -354,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--d", type=int, required=True)
     matrix.add_argument("--n", type=int, required=True)
     matrix.add_argument("--gamma", required=True, help='comma-separated rationals, e.g. "1/2,1/3,1/4"')
-    matrix.add_argument("--mode", choices=("strict", "lenient"), default="strict")
     matrix.add_argument("--out", help="write JSON to this file instead of stdout")
     matrix.set_defaults(fn=cmd_matrix)
 

@@ -17,10 +17,11 @@ class InvalidParameter(ExactAlgebraError):
 
 
 class DegenerateParameter(ExactAlgebraError):
-    """A difference-operator denominator vanishes where the coefficient does not.
+    """A printed difference-operator coefficient cannot be resolved: one of
+    its denominator forms vanishes and no structural numerator factor does.
 
-    Raised only when the numerator-first rule cannot resolve the value; the
-    message names the vanishing linear form and the index at which it vanished.
+    The message names the vanishing linear form and the index at which it
+    vanished.
     """
 
 

@@ -10,10 +10,11 @@ label, which is also its formula.  In a label ``nuK...`` and ``gK...`` sum nu
 and gamma over the listed digits, ``|g|`` is the sum of all gamma, and
 integers, ``+ - ( )`` and juxtaposition (a product) combine them; each label
 is compiled once, on first use.  A form is structural (a pure index factor)
-when its label names no parameter.  Evaluation is numerator-first: if the
-numerator product vanishes the summand is 0 and the denominator is never
-touched, otherwise a vanishing denominator raises ``DegenerateParameter``
-naming the form by its label.
+when its label names no parameter.  A summand is 0 when a structural
+numerator factor vanishes, and its denominator is then never touched;
+otherwise a vanishing denominator raises ``DegenerateParameter`` naming the
+form by its label.  A parameter-dependent numerator zero resolves nothing,
+since such a 0/0 can have a nonzero limit.
 
 *The general family.*  ``racah_operator(j, beta)`` (in the test oracles)
 builds the I-invariant difference operator
@@ -373,11 +374,6 @@ class CoefficientEvaluator:
     def eval(self, nu) -> Rat:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def strict_value(self, nu):
-        """(value, None) under strict semantics, or (None, problem); an
-        evaluator that is never degenerate keeps this default."""
-        return self.eval(nu), None
-
 
 @dataclass(frozen=True)
 class RacahTerm:
@@ -406,41 +402,28 @@ class RacahOp:
                 total += term.coef.eval(tuple(nu))
         return total
 
-    def assemble(self, n: int) -> "tuple[ExactMatrix | None, list]":
-        """Strict evaluation: (matrix, []) or (None, degeneracy reports)."""
-        matrix, problems = self._on_level(n, strict=True)
-        return (None, problems) if problems else (matrix, [])
+    def assemble(self, n: int) -> ExactMatrix:
+        """``matrix_on_level``, under the name the benchmark's tracer hooks."""
+        return self.matrix_on_level(n)
 
     def matrix_on_level(self, n: int) -> ExactMatrix:
         """Matrix on {|nu| = n} in descending-lex basis order (columns = images).
 
-        Evaluates with the numerator-first rule only (no strict pre-scan);
-        raises DegenerateParameter when a value cannot be resolved.
-        """
-        return self._on_level(n, strict=False)[0]
-
-    def _on_level(self, n: int, strict: bool) -> "tuple[ExactMatrix, list]":
-        """The one evaluation pass over (nu, term) behind both entry points.
-
-        Strict mode records each unresolvable coefficient and goes on; lenient
-        mode lets its DegenerateParameter propagate.  Coefficients of shifts
-        that would leave the nonnegative range must evaluate to zero; a
-        nonzero escaping coefficient is an error in both modes.
+        Raises DegenerateParameter, naming the shift and nu, at the first
+        coefficient that cannot be resolved.  Coefficients of shifts that
+        would leave the nonnegative range must evaluate to zero; a nonzero
+        escaping coefficient is an error.
         """
         basis = level_indices(n, self.d)
         index = {nu: i for i, nu in enumerate(basis)}
         size = len(basis)
         entries = [[Rat(0)] * size for _ in range(size)]
-        problems = []
         for col, nu in enumerate(basis):
             for term in self.terms:
-                if strict:
-                    value, problem = term.coef.strict_value(nu)
-                    if problem:
-                        problems.append(f"shift {term.shift} at nu={nu}: {problem}")
-                        continue
-                else:
+                try:
                     value = term.coef.eval(nu)
+                except DegenerateParameter as exc:
+                    raise DegenerateParameter(f"shift {term.shift} at nu={nu}: {exc}") from None
                 if value == 0:
                     continue
                 target = tuple(a + b for a, b in zip(nu, term.shift))
@@ -450,10 +433,10 @@ class RacahOp:
                         f"range at nu={nu}, shift {term.shift}"
                     )
                 entries[index[target]][col] += value
-        return ExactMatrix(entries), problems
+        return ExactMatrix(entries)
 
 
-# -- printed-coefficient evaluators (numerator-first) ------------------------
+# -- printed-coefficient evaluators -----------------------------------------
 
 
 @dataclass(frozen=True)
@@ -474,25 +457,20 @@ class Summand:
     numerator: tuple
     denominator: tuple = ()
 
-    def eval(self, nu, strict: bool = False) -> Rat:
-        """Numerator-first value; DegenerateParameter if a denominator vanishes.
-
-        A vanishing numerator factor makes the summand 0 without touching the
-        denominator.  Strict mode trusts only *structural* (pure index)
-        factors for that, so a parameter-dependent zero over a vanishing
-        denominator is reported instead of resolved.
-        """
+    def eval(self, nu) -> Rat:
+        """The summand at nu: 0 when a structural numerator factor vanishes,
+        without touching the denominator; otherwise DegenerateParameter if a
+        denominator form vanishes."""
         value = self.const
         for factor in self.numerator:
             f = factor(nu)
-            if f == 0 and (factor.structural or not strict):
+            if f == 0 and factor.structural:
                 return Rat(0)
             value *= f
         for factor in self.denominator:
             f = factor(nu)
             if f == 0:
-                where = "" if strict else f" at nu={tuple(nu)}"
-                raise DegenerateParameter(f"denominator form {factor.label} vanishes{where}")
+                raise DegenerateParameter(f"denominator form {factor.label} vanishes")
             value /= f
         return value
 
@@ -504,12 +482,6 @@ class PrintedCoefficient(CoefficientEvaluator):
 
     def eval(self, nu) -> Rat:
         return sum((s.eval(nu) for s in self.summands), Rat(0))
-
-    def strict_value(self, nu):
-        try:
-            return sum((s.eval(nu, strict=True) for s in self.summands), Rat(0)), None
-        except DegenerateParameter as exc:
-            return None, str(exc)
 
 
 _FORM_TOKEN = re.compile(r"nu[1-9]+|g[1-9]+|\|g\||\d+|\S")

@@ -25,7 +25,10 @@ every level, and the kd oracle checks all three forms of each triple relation
 and every [M_i, M_j] instead of only the relations that generate them, and the
 reduced-fraction oracle builds the general Racah family as exact rational
 functions of z with removable factors cancelled by synthetic division
-instead of taking limits of its product form along gamma0 + t·v.
+instead of taking limits of its product form along gamma0 + t·v, and the
+numerator-first oracle makes a printed Racah summand 0 at any vanishing
+numerator factor instead of only at a structural one, so it also turns the
+0/0s that the library refuses into 0.
 """
 
 import functools
@@ -616,3 +619,24 @@ def folded_fractions(family) -> dict:
     zero = (0,) * family.m
     folded[zero] = folded[zero].add(ZFraction(nvars, MultiPoly.const(nvars, family.constant)))
     return folded
+
+
+# -- printed Racah coefficients, numerator-first -----------------------------
+
+
+def numerator_first_value(coef, nu) -> Rat:
+    """A printed coefficient at nu by the numerator-first rule: a summand is
+    0 as soon as any numerator factor vanishes, whether or not its label
+    names a parameter, and its denominator is then never evaluated;
+    otherwise a vanishing denominator raises DegenerateParameter.  Each
+    product is taken whole rather than factor by factor."""
+    total = Rat(0)
+    for summand in coef.summands:
+        numerator = [factor(nu) for factor in summand.numerator]
+        if 0 in numerator:
+            continue
+        denominator = [factor(nu) for factor in summand.denominator]
+        if 0 in denominator:
+            raise DegenerateParameter(f"a denominator form of {coef.label} vanishes at nu={tuple(nu)}")
+        total += summand.const * prod(numerator) / prod(denominator)
+    return total

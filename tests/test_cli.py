@@ -73,14 +73,21 @@ def test_decimal_gamma_rejected():
 
 
 def test_degenerate_strict_exit_code(capsys):
-    # the nine-term operator is degenerate at gamma = 0
+    # the nine-term operator is degenerate at gamma = 0, and matrix prints
+    # no matrix then; it has no mode to select another rule
     code = run_cli("matrix", "--op", "B123", "--d", "3", "--n", "2", "--gamma", "0,0,0,0")
     assert code == EXIT_DEGENERATE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "degenerate parameters: shift (-1, 1, 0) at nu=(2, 0, 0): "
+        "denominator form g34+2nu3 vanishes\n"
+    )
     code = run_cli(
         "matrix", "--op", "B123", "--d", "3", "--n", "2", "--gamma", "0,0,0,0",
         "--mode", "lenient",
     )
-    assert code == EXIT_PASS  # numerator-first evaluation resolves every entry
+    assert code == EXIT_USAGE
 
 
 def test_verify_all_suites_quick(capsys):
@@ -91,8 +98,14 @@ def test_verify_all_suites_quick(capsys):
 
 
 def test_verify_strict_degenerate_exit(capsys):
+    # --mode sets only the exit code: both modes report the same verdict
+    details = "L123=B123: shift (-1, 1, 0) at nu=(2, 0, 0): denominator form g34+2nu3 vanishes"
     code = run_cli("verify", "--gamma", "0,0,0,0", "--n", "2", "--suite", "racah")
     assert code == EXIT_DEGENERATE
+    assert details in capsys.readouterr().out
+    code = run_cli("verify", "--gamma", "0,0,0,0", "--n", "2", "--suite", "racah", "--mode", "lenient")
+    assert code == EXIT_PASS
+    assert details in capsys.readouterr().out
     code = run_cli("verify", "--gamma", "1/2,1/3,1/4,1/5", "--n", "2", "--suite", "racah")
     assert code == EXIT_PASS
 

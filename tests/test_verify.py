@@ -1,5 +1,6 @@
+import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -15,15 +16,16 @@ from oracles import (
     sample_valid_gammas,
     selfadjoint_orthogonal_oracle,
 )
-from simplexalg import diffops, verify
+from simplexalg import cli, diffops, verify
 from simplexalg.diffops import DiffOp, l_operator
-from simplexalg.errors import InvalidParameter, InvariantViolation
+from simplexalg.errors import InvalidParameter
 from simplexalg.jacobi import level_indices
 from simplexalg.linalg import ExactMatrix
 from simplexalg.params import ParamVector, check_gamma
 from simplexalg.poly import MultiPoly
 from simplexalg.scalar import Rat
 from simplexalg.verify import (
+    SUITES,
     ModuleContext,
     ModuleInvarianceError,
     eigenvalue,
@@ -143,7 +145,7 @@ def test_verify_difference_action(ctx_2, ctx_3):
 def test_difference_action_degenerate_recorded():
     # gamma = 0 at d = 3 makes the explicit nine-term operator degenerate
     ctx = ModuleContext(3, 2, ParamVector([0, 0, 0, 0]))
-    result = verify_difference_action(ctx, mode="strict")
+    result = verify_difference_action(ctx)
     assert result.status == "degenerate"
     assert "vanishes" in result.details
 
@@ -175,6 +177,40 @@ def test_orthogonality_pass_and_degenerate(ctx_3):
     assert verify_selfadjoint_orthogonal(ctx_3).status == "pass"
     negative = ModuleContext(2, 1, ParamVector([Rat(-3, 2), Rat(1, 2), Rat(1, 2)]))
     assert verify_selfadjoint_orthogonal(negative).status == "degenerate"
+
+
+def _half_integer_lattice(d: int, count: int, seed: int) -> list:
+    """A seeded sample of the valid gammas with entries in {-3/2, -1, ..., 3/2}."""
+    values = [Rat(k, 2) for k in range(-3, 4)]
+    valid = [g for g in map(ParamVector, product(values, repeat=d + 1)) if not g.violations]
+    return random.Random(seed).sample(valid, count)
+
+
+PRINTED_LABELS = {"L12=B12", "L23=B23", "L134=B134", "L123=B123"}
+
+
+def test_half_integer_lattice_has_no_failed_check():
+    """The paper's theorems as a property of every suite on integer and
+    half-integer parameters, where the Racah denominators vanish most often:
+    no check fails; orthogonality is degenerate exactly when its integral
+    form does not exist (some gamma_j <= -1); racah is degenerate only where
+    a printed operator's coefficient cannot be resolved."""
+    racah_degenerate = 0
+    for d, count in ((2, 30), (3, 20)):
+        for gamma in _half_integer_lattice(d, count, seed=d):
+            for n in range(3):
+                for check in run_suites(d, n, gamma, SUITES, "lenient").checks:
+                    where = (d, n, gamma.to_json(), check.name, check.details)
+                    if check.name == "orthogonality":
+                        below = any(g <= -1 for g in gamma.gamma)
+                        assert check.status == ("degenerate" if below else "pass"), where
+                    elif check.name == "racah" and check.status == "degenerate":
+                        labels = {part.split(":")[0] for part in check.details.split("; ")}
+                        assert labels <= PRINTED_LABELS, where
+                        racah_degenerate += 1
+                    else:
+                        assert check.status == "pass", where
+    assert racah_degenerate
 
 
 def _generators(d, gamma):
@@ -263,20 +299,41 @@ def test_reachability_and_oracle_agree_on_a_reducible_set():
     assert orbit_closure_dimensions(matrices, 4) == [2, 2, 4, 4]
 
 
-def test_irreducibility_check_raises_without_its_premise():
+def test_irreducibility_check_fails_without_its_premise():
     # substitute at generator_matrix, the one source of the M_j matrices; a
     # fresh context each time, since the M_j sums are cached per context
     ctx = ModuleContext(2, 2, G_2)
     size = len(ctx.level)
     zero = ExactMatrix.zeros(size, size)
     ctx.generator_matrix = lambda i, j: zero
-    with pytest.raises(InvariantViolation, match="separate"):
-        irreducibility_check(ctx)
+    result = irreducibility_check(ctx)
+    assert (result.status, result.details) == (
+        "fail", "premise fails: the M_j do not separate the indices of level 2"
+    )
     ctx = ModuleContext(2, 2, G_2)
     shift = ExactMatrix([[1 if c == r + 1 else 0 for c in range(size)] for r in range(size)])
     ctx.generator_matrix = lambda i, j: shift if (i, j) == (2, 3) else zero
-    with pytest.raises(InvariantViolation, match="M_2 is not diagonal"):
-        irreducibility_check(ctx)
+    result = irreducibility_check(ctx)
+    assert (result.status, result.details) == (
+        "fail", "premise fails: M_2 is not diagonal on level 2"
+    )
+
+
+def test_irreducibility_premise_failure_is_a_failed_check(monkeypatch, capsys):
+    m_matrix = ModuleContext.m_matrix
+
+    def not_diagonal(ctx, j, variant="plain"):
+        matrix = m_matrix(ctx, j, variant)
+        if j != 1 or variant != "plain" or len(ctx.level) < 2:
+            return matrix
+        return matrix + ExactMatrix(
+            [[1 if (r, c) == (0, 1) else 0 for c in range(matrix.cols)] for r in range(matrix.rows)]
+        )
+
+    monkeypatch.setattr(ModuleContext, "m_matrix", not_diagonal)
+    code = cli.main(["verify", "--gamma", "1/2,1/3,1/5", "--n", "2", "--suite", "irreducibility"])
+    assert code == cli.EXIT_FAIL
+    assert "premise fails: M_1 is not diagonal on level 2" in capsys.readouterr().out
 
 
 @settings(max_examples=150, deadline=None)
