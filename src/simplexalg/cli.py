@@ -249,6 +249,16 @@ def _write_report(report: VerificationReport, out_dir: Path, stem: str):
     (out_dir / f"{stem}.json").write_bytes(report.json_bytes() + b"\n")
 
 
+def _emit_reports(results, out, stem: str) -> list:
+    """Print the summary of each (label, report) and, with ``out``, persist
+    the report as ``<stem>NNNN.json`` there; returns the reports in order."""
+    for index, (label, report) in enumerate(results):
+        print(_report_summary(report, label))
+        if out:
+            _write_report(report, Path(out), f"{stem}{index:04d}")
+    return [report for _, report in results]
+
+
 def _exit_code(reports, mode: str) -> int:
     if any(any(c.status == "fail" for c in r.checks) for r in reports):
         return EXIT_FAIL
@@ -273,13 +283,7 @@ def cmd_verify(args) -> int:
     except InvalidParameter as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    reports = []
-    for index, (label, report) in enumerate(results):
-        reports.append(report)
-        print(_report_summary(report, label))
-        if config.out:
-            _write_report(report, Path(config.out), f"report_{index:04d}")
-    return _exit_code(reports, config.mode)
+    return _exit_code(_emit_reports(results, config.out, "report_"), config.mode)
 
 
 def sample_gamma(rng: random.Random, d: int) -> ParamVector:
@@ -306,16 +310,12 @@ def cmd_sweep(args) -> int:
         workers=require_positive("workers", args.workers),
     )
     results, skipped = config.run()
-    reports = []
+    reports = _emit_reports(results, config.out, "sweep_")
     aggregate: dict = {}
-    for index, (label, report) in enumerate(results):
-        reports.append(report)
-        print(_report_summary(report, label))
+    for report in reports:
         for check in report.checks:
             entry = aggregate.setdefault(check.name, {"pass": 0, "fail": 0, "degenerate": 0})
             entry[check.status] += 1
-        if config.out:
-            _write_report(report, Path(config.out), f"sweep_{index:04d}")
     summary = {
         "seed": config.seed,
         "draws": config.draws,

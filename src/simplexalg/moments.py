@@ -34,7 +34,7 @@ def simplex_moment(m, gamma) -> Rat:
     numerator = Rat(1)
     for i in range(d + 1):
         numerator *= pochhammer(params[i + 1] + 1, m[i])
-    return numerator / pochhammer(params.total() + d + 1, sum(m))
+    return numerator / pochhammer(params.tail_sum(1) + d + 1, sum(m))
 
 
 def inner_product(p: MultiPoly, q: MultiPoly, gamma) -> Rat:

@@ -47,9 +47,6 @@ class ParamVector:
         """gamma_j + gamma_{j+1} + ... + gamma_{d+1}; zero when j = d+2."""
         return sum(self.gamma[j - 1 :], Rat(0))
 
-    def total(self) -> Rat:
-        return self.tail_sum(1)
-
     def to_json(self) -> list:
         return [rat_str(g) for g in self.gamma]
 

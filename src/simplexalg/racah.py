@@ -34,14 +34,16 @@ synthetic division.  No CLI run builds them.
 produces the difference operators representing the cyclic Jucys-Murphy
 operators M_j^+ and M_j^- on the span of {P_nu : |nu| = n}: the plus variant
 is conjugated by g(nu) = (1+gamma_1)_{nu_1} / (|gamma|+2n+d-nu_1)_{nu_1} and
-shifted by the constant n(n + beta^+_j - beta^+_0 - 1).  Its coefficients
-are evaluated pointwise from the product form: the kernels over the factors
-b_i at the involuted point, times the g(nu) factor.  Every matrix entry is a
-rational function of gamma that is regular at a valid gamma0.  Wherever no
-factor of the unreduced denominator vanishes, the product form's value is
-that entry.  Where one vanishes, the same product form runs over Q[t] at
-gamma0 + t·v for a fixed direction v, and the entry is its exact limit as
-t -> 0.
+shifted by the constant n(n + beta^+_j - beta^+_0 - 1).  M_j^- reads nu in
+the reverse order of M_j^+.  Its coefficients are evaluated pointwise from
+one product form over any ring: ``_family_inputs`` builds beta, the g(nu)
+fold and the factors b_i from gamma, and ``_FoldedFamily._factors`` returns
+the kernels, the fold numerator and the unreduced denominator at the
+involuted point.  Every matrix entry is a rational function of gamma that is
+regular at a valid gamma0.  Wherever no factor of the unreduced denominator
+vanishes, the product of those factors over Q is that entry.  Where one
+vanishes, the same factors are taken over Q[t] at gamma0 + t·v for a fixed
+direction v, and the entry is their exact limit as t -> 0.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import product
+from itertools import accumulate, product
 from math import isqrt, prod
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import DegenerateParameter, DimensionMismatch, InvariantViolation
@@ -200,9 +203,6 @@ class RacahParamVector:
     """beta_0..beta_d attached to a gamma vector."""
 
     values: tuple
-
-    def __getitem__(self, i: int) -> Rat:
-        return self.values[i]
 
 
 def parameter_maps(gamma, n: int, d: int) -> "tuple[RacahParamVector, RacahParamVector]":
@@ -368,17 +368,10 @@ def _build_racah_operator(j: int, beta, boundary) -> ZShiftOp:
 # ---------------------------------------------------------------------------
 
 
-class CoefficientEvaluator:
-    """Interface: exact coefficient of one shift, as a function of nu."""
-
-    def eval(self, nu) -> Rat:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
 class RacahTerm:
     shift: tuple
-    coef: CoefficientEvaluator
+    coef: PrintedCoefficient | ZMappedCoefficient
 
 
 class RacahOp:
@@ -475,7 +468,7 @@ class Summand:
         return value
 
 
-class PrintedCoefficient(CoefficientEvaluator):
+class PrintedCoefficient:
     def __init__(self, label: str, summands: Sequence[Summand]):
         self.label = label
         self.summands = tuple(summands)
@@ -715,61 +708,72 @@ def _limit_at_zero(num: MultiPoly, den: MultiPoly) -> Rat:
     return num.terms.get((v,), Rat(0)) / den.terms[(v,)]
 
 
-def _b_table(m: int, beta) -> dict:
-    """(k, bit) -> b_k^bit as (constant, roots of its monic linear factors)."""
-    table = {}
+def _family_inputs(variant: str, m: int, n: int, g) -> tuple:
+    """(beta_0..beta_{m+1}, fold, b table) of one predicted M_j action, for
+    g = (gamma_1, ..., gamma_{d+1}) over any ring: rationals at gamma0, or
+    polynomials in t at gamma0 + t·v.
+
+    The plus variant is conjugated by g(nu): shifts with sigma_1 = +1 gain
+    (1+g_1+z_1)/(A-1-z_1) and sigma_1 = -1 gain (A-z_1)/(g_1+z_1), where
+    A = |g| + 2n + d, so its fold is (g_1, A); the minus variant has none.
+    The b table maps (k, bit) to b_k^bit as (constant, root, root) of its
+    monic linear factors."""
+    d = len(g) - 1
+    plus, minus = _beta_maps(g, n, d)
+    beta = tuple((plus if variant == "plus" else minus)[: m + 2])
+    fold = (g[0], sum(g, Rat(0)) + 2 * n + d) if variant == "plus" else None
+    b_factors = {}
     for k in range(1, m + 1):
         for bit in (0, 1):
-            const, factors = _b_denominator(k, bit, beta)
-            table[k, bit] = (const, [root for _, root in factors])
-    return table
+            const, ((_, r1), (_, r2)) = _b_denominator(k, bit, beta)
+            b_factors[k, bit] = (const, r1, r2)
+    return beta, fold, b_factors
 
 
 class _FoldedFamily:
     """The coefficients of one predicted M_j action, C_{m,sigma} read on nu.
 
-    ``value`` evaluates a coefficient from the paper's product form: the
-    kernels B_k over the factors b_k at I_sigma(z), times the g(nu) fold
-    factor of the plus variant, and on the zero shift minus the identity
-    term plus the plus variant's constant.  Where no unreduced denominator
-    factor vanishes this is the coefficient's value.  Where one does,
-    ``_limit`` runs the same product form over Q[t], with beta and the fold's
-    (g_1, A) at gamma0 + t·v (``series``, called on the first limit) and z
-    and the boundary free of t, and returns its exact limit as t -> 0.  The
-    zero shift's polynomial terms are continuous, so they are read at t = 0.
+    One product form serves both rings.  ``_family_inputs`` builds beta, the
+    fold and the b table from gamma.  ``_factors`` returns the factors of
+    C_sigma at I_sigma(z): the fold numerator (plus variant only), the
+    kernels B_k, and the unreduced denominator (the factors of each b_k, and
+    the fold's).  ``value`` multiplies them over Q at gamma0; on the zero
+    shift it subtracts the identity term and adds the plus variant's
+    constant.  Where no denominator factor vanishes this is the coefficient's
+    value.  Where one does, ``_limit`` multiplies the same factors over Q[t],
+    with the inputs at gamma0 + t·v (``_over_t``, built on the first limit)
+    and z and the boundary free of t, and returns their exact limit as
+    t -> 0.  The zero shift's polynomial terms are continuous, so they are
+    read at t = 0.
     """
 
-    def __init__(self, m: int, beta, boundary, fold, constant, z_of_nu: Callable, series):
-        self.m = m
-        self.beta = tuple(as_rat(b) for b in beta[: m + 2])
-        self.boundary = boundary
-        self.fold = fold  # (gamma_1, A) for the plus variant, else None
-        self.constant = constant
+    def __init__(self, variant: str, m: int, n: int, gamma: tuple, z_of_nu: Callable):
+        self.variant, self.m, self.n, self.gamma = variant, m, n, gamma
         self.z_of_nu = z_of_nu
-        self.b_factors = _b_table(m, self.beta)
-        self.identity_const = (self.beta[0] + 1) * (self.beta[m + 1] - 1) / 2
-        self.series = series  # () -> (beta, fold) over Q[t] along gamma0 + t·v
+        self.beta, self.fold, self.b_factors = _family_inputs(variant, m, n, gamma)
+        beta = self.beta
+        # z_{m+1} = |nu| = n when the action reaches the last index
+        self.boundary = n if m + 1 == len(gamma) - 1 else None
+        self.identity_const = (beta[0] + 1) * (beta[m + 1] - 1) / 2
+        self.constant = 0 if self.fold is None else n * (n + beta[m + 1] - beta[0] - 1)
 
-    def value(self, sigma, z) -> Rat:
-        """C_sigma at z from the product form, or its limit along gamma0 + t·v."""
-        m, beta = self.m, self.beta
+    def _factors(self, sigma, z, beta, fold, b_factors) -> tuple:
+        """(fold numerator, kernels, denominator factors) of C_sigma at z, the
+        kernels lazily, in order."""
         zs = [0, *z]  # zs[k] = z_k with z_0 = 0
         if self.boundary is not None:
-            zs[m + 1] = self.boundary
+            zs[-1] = self.boundary
         z1 = zs[1]
-        bits = [0] * (m + 2)
+        bits = [0, *map(abs, sigma), 0]
+        den = []
         for k, s in enumerate(sigma, start=1):
-            bits[k] = abs(s)
             if s == -1:
                 zs[k] = -zs[k] - beta[k]
-        den = []  # the unreduced denominator, factor by factor
-        for k in range(1, m + 1):
-            const, roots = self.b_factors[k, bits[k]]
-            den.append(const)
-            den += (zs[k] - root for root in roots)
+            const, r1, r2 = b_factors[k, bits[k]]
+            den += (const, zs[k] - r1, zs[k] - r2)
         fold_num = 1
-        if self.fold is not None and sigma[0]:
-            g1, A = self.fold
+        if fold is not None and sigma[0]:
+            g1, A = fold
             if sigma[0] == 1:
                 # g(nu+mu)/g(nu) = (z_1 + g_1 + 1) / (A - 1 - z_1)
                 fold_num = z1 + g1 + 1
@@ -778,126 +782,80 @@ class _FoldedFamily:
                 # g(nu+mu)/g(nu) = (A - z_1) / (z_1 + g_1)
                 fold_num = A - z1
                 den.append(z1 + g1)
+        return fold_num, map(_kernel, bits, bits[1:], zs, zs[1:], beta, beta[1:]), den
+
+    def value(self, sigma, z) -> Rat:
+        """C_sigma at z from the product form, or its limit along gamma0 + t·v."""
+        fold_num, kernels, den = self._factors(sigma, z, self.beta, self.fold, self.b_factors)
         if 0 in den:
             value = self._limit(sigma, z)
         else:
             value = as_rat(fold_num)
-            for k in range(m + 1):
-                value *= _kernel(bits[k], bits[k + 1], zs[k], zs[k + 1], beta[k], beta[k + 1])
+            for kernel in kernels:
+                value *= kernel
                 if value == 0:
                     break
             else:
                 value /= prod(den)
         if not any(sigma):
-            last = zs[m + 1]
-            value -= last * (last + beta[m + 1]) + self.identity_const
+            m = self.m
+            last = z[m] if self.boundary is None else self.boundary
+            value -= last * (last + self.beta[m + 1]) + self.identity_const
             value += self.constant
         return value
 
     @cached_property
-    def _over_t(self):
-        """beta, the fold and the b table over Q[t], built on the first limit."""
-        beta, fold = self.series()
-        beta = tuple(beta[: self.m + 2])
-        return beta, fold, _b_table(self.m, beta)
+    def _over_t(self) -> tuple:
+        """``_family_inputs`` over Q[t] at gamma0 + t·v, built on the first limit."""
+        t = MultiPoly.variable(1, 0)
+        g = [t.scale(v) + g0 for g0, v in zip(self.gamma, _direction(len(self.gamma)))]
+        return _family_inputs(self.variant, self.m, self.n, g)
 
     def _limit(self, sigma, z) -> Rat:
-        """The product form of C_sigma as in ``value``, over Q[t], as its
-        exact limit t -> 0."""
-        m = self.m
-        beta, fold, b_factors = self._over_t
-        zs = [0, *z]
-        if self.boundary is not None:
-            zs[m + 1] = self.boundary
-        z1 = zs[1]
-        bits = (0, *map(abs, sigma), 0)
-        for k, s in enumerate(sigma, start=1):
-            if s == -1:
-                zs[k] = -zs[k] - beta[k]
-        num, den = 1, 1
-        for k in range(1, m + 1):
-            const, roots = b_factors[k, bits[k]]
-            den = prod((zs[k] - root for root in roots), start=den * const)
-        if fold is not None and sigma[0]:
-            g1, A = fold  # the g(nu+mu)/g(nu) factor, as in value
-            num, den = (z1 + g1 + 1, den * (A - 1 - z1)) if sigma[0] == 1 else (A - z1, den * (z1 + g1))
-        for k in range(m + 1):
-            num = _kernel(bits[k], bits[k + 1], zs[k], zs[k + 1], beta[k], beta[k + 1]) * num
-        return _limit_at_zero(num, den)
+        """The product form of C_sigma over Q[t], as its exact limit t -> 0."""
+        fold_num, kernels, den = self._factors(sigma, z, *self._over_t)
+        return _limit_at_zero(prod(kernels, start=fold_num), prod(den))
 
 
-class ZMappedCoefficient(CoefficientEvaluator):
+class ZMappedCoefficient:
     """One general-family coefficient read through a nu -> z change of variables."""
 
     def __init__(self, family: _FoldedFamily, sigma: tuple):
         self.family = family
         self.sigma = sigma
-        self.z_of_nu = family.z_of_nu
 
     def eval(self, nu) -> Rat:
-        return self.family.value(self.sigma, self.z_of_nu(tuple(nu)))
+        return self.family.value(self.sigma, self.family.z_of_nu(nu))
 
 
 def predicted_m_action(variant: str, j: int, n: int, d: int, gamma) -> RacahOp:
-    """Difference operator representing M_j^+ (plus) or M_j^- (minus) on |nu| = n."""
+    """Difference operator representing M_j^+ (plus) or M_j^- (minus) on |nu| = n.
+
+    Both read the general family with m = j - 1 (plus) or d + 1 - j (minus)
+    along an ``order`` of the indices of nu, forwards for M_j^+ and backwards
+    for M_j^-: z_l sums the first l entries of nu in that order, and sigma_l
+    moves one unit from nu[order[l]] to nu[order[l-1]]."""
     if variant not in ("plus", "minus"):
         raise ValueError("variant must be 'plus' or 'minus'")
     if not 2 <= j <= d:
         raise ValueError(f"j must satisfy 2 <= j <= {d}")
     params = require_valid(gamma, d)
-    beta_plus, beta_minus = parameter_maps(params, n, d)
+    m, order = (j - 1, range(d)) if variant == "plus" else (d + 1 - j, range(d - 1, -1, -1))
+    take = itemgetter(*order[: m + 1])
 
-    def series():
-        """beta and the fold over Q[t] at gamma0 + t·v, by the same affine maps."""
-        t = MultiPoly.variable(1, 0)
-        g = [t.scale(v) + g0 for g0, v in zip(params.gamma, _direction(d + 1))]
-        plus, minus = _beta_maps(g, n, d)
-        if variant == "minus":
-            return minus, None
-        return plus, (g[0], sum(g, Rat(0)) + 2 * n + d)
+    def z_of_nu(nu):
+        return tuple(accumulate(take(nu)))
 
-    if variant == "plus":
-        m = j - 1
-        beta = beta_plus
-        boundary = n if j == d else None
-        # the diagonal conjugation by g(nu): shifts with sigma_1 = +1 gain
-        # (1+g_1+z_1)/(A-1-z_1), sigma_1 = -1 gain (A-z_1)/(g_1+z_1), where
-        # A = |gamma| + 2n + d; the zero shift gains n(n + beta_j - beta_0 - 1)
-        fold = (params[1], params.total() + 2 * n + d)
-        constant = n * (n + beta[j] - beta[0] - 1)
+    def shift_of(sigma):
+        mu = [0] * d
+        for l, s in enumerate(sigma):
+            mu[order[l]] += s
+            mu[order[l + 1]] -= s
+        return tuple(mu)
 
-        def z_of_nu(nu):
-            return tuple(sum(nu[:l]) for l in range(1, m + 2))
-
-        def shift_of(sigma):
-            mu = [0] * d
-            for l, s in enumerate(sigma, start=1):
-                mu[l - 1] += s
-                mu[l] -= s
-            return tuple(mu)
-
-        name = f"R+:{j}"
-    else:
-        m = d + 1 - j
-        beta = beta_minus
-        boundary = n if j == 2 else None
-        fold, constant = None, 0
-
-        def z_of_nu(nu):
-            return tuple(sum(nu[d - l :]) for l in range(1, m + 2))
-
-        def shift_of(sigma):
-            mu = [0] * d
-            for l, s in enumerate(sigma, start=1):
-                mu[d - l] += s
-                mu[d - l - 1] -= s
-            return tuple(mu)
-
-        name = f"R-:{j}"
-
-    family = _FoldedFamily(m, beta.values, boundary, fold, constant, z_of_nu, series)
+    family = _FoldedFamily(variant, m, n, params.gamma, z_of_nu)
     terms = [
         RacahTerm(shift_of(sigma), ZMappedCoefficient(family, sigma))
         for sigma in _sign_patterns(m)
     ]
-    return RacahOp(d, name, terms)
+    return RacahOp(d, f"R{'+' if variant == 'plus' else '-'}:{j}", terms)

@@ -585,6 +585,16 @@ def _diagonal_conjugacy(pairs: list, size: int) -> bool:
     return True
 
 
+def _restrict(matrix: ExactMatrix, rows: list) -> "ExactMatrix | None":
+    """``matrix`` restricted to the block of basis positions ``rows``, or None
+    if a column of the block leaks out of it."""
+    row_set = set(rows)
+    for c in rows:
+        if any(matrix[(r, c)] != 0 for r in range(matrix.rows) if r not in row_set):
+            return None
+    return ExactMatrix([[matrix[(r, c)] for c in rows] for r in rows])
+
+
 def submodule_diagnostic(ctx: ModuleContext) -> CheckResult:
     """Restrictions to {nu_1 = k} and {nu_3 = ... = nu_d = 0} reproduce the
     lower-dimensional modules (up to a diagonal rescaling for the first)."""
@@ -599,22 +609,14 @@ def submodule_diagnostic(ctx: ModuleContext) -> CheckResult:
     for k in range(n + 1):
         block = [nu for nu in ctx.level if nu[0] == k]
         rows = [level_pos[nu] for nu in block]
-        row_set = set(rows)
         sub_ctx = ModuleContext(d - 1, n - k, tail_gamma)
         if [nu[1:] for nu in block] != sub_ctx.level:
             raise InvariantViolation(f"block nu_1={k} is not ordered like the d-1 level")
         pairs = []
         for i, j in combinations(range(2, d + 2), 2):
-            big = ctx.generator_matrix(i, j)
-            for c in rows:
-                for r in range(len(ctx.level)):
-                    if r not in row_set and big[(r, c)] != 0:
-                        return CheckResult(
-                            "submodules",
-                            "fail",
-                            f"L_({i},{j}) leaks out of the block nu_1={k}",
-                        )
-            restricted = ExactMatrix([[big[(r, c)] for c in rows] for r in rows])
+            restricted = _restrict(ctx.generator_matrix(i, j), rows)
+            if restricted is None:
+                return CheckResult("submodules", "fail", f"L_({i},{j}) leaks out of the block nu_1={k}")
             lower = sub_ctx.generator_matrix(i - 1, j - 1)
             pairs.append((restricted, lower))
         if not _diagonal_conjugacy(pairs, len(block)):
@@ -626,7 +628,6 @@ def submodule_diagnostic(ctx: ModuleContext) -> CheckResult:
     # gamma~ = (gamma_1, gamma_2, gamma_3+...+gamma_{d+1} + d - 2).
     block = [nu for nu in ctx.level if all(v == 0 for v in nu[2:])]
     rows = [level_pos[nu] for nu in block]
-    row_set = set(rows)
     hat_gamma = ParamVector([gamma[1], gamma[2], gamma.tail_sum(3) + d - 2])
     hat_ctx = ModuleContext(2, n, hat_gamma)
     if [nu[:2] for nu in block] != hat_ctx.level:
@@ -637,13 +638,11 @@ def submodule_diagnostic(ctx: ModuleContext) -> CheckResult:
         (ctx.generator_sum((2, j) for j in range(3, d + 2)), hat_ctx.generator_matrix(2, 3)),
     ]
     for big, lower in hats:
-        for c in rows:
-            for r in range(len(ctx.level)):
-                if r not in row_set and big[(r, c)] != 0:
-                    return CheckResult(
-                        "submodules", "fail", "hat operator leaks out of the nu_3..nu_d=0 block"
-                    )
-        restricted = ExactMatrix([[big[(r, c)] for c in rows] for r in rows])
+        restricted = _restrict(big, rows)
+        if restricted is None:
+            return CheckResult(
+                "submodules", "fail", "hat operator leaks out of the nu_3..nu_d=0 block"
+            )
         if restricted != lower:
             return CheckResult(
                 "submodules", "fail", "restricted hat operator differs from the 2-variable module"

@@ -404,7 +404,7 @@ def l_total_closed_form(d: int, gamma) -> DiffOp:
         terms[tuple(e2)] = x[k] * (MultiPoly.const(d, 1) - x[k])
         e1 = [0] * d
         e1[k] = 1
-        terms[tuple(e1)] = MultiPoly.const(d, params[k + 1] + 1) - x[k].scale(params.total() + d + 1)
+        terms[tuple(e1)] = MultiPoly.const(d, params[k + 1] + 1) - x[k].scale(params.tail_sum(1) + d + 1)
     for k, j in combinations(range(d), 2):
         e = [0] * d
         e[k] = e[j] = 1

@@ -344,8 +344,8 @@ def test_parameter_maps():
     # beta+_j = -(tail sum) - 2n - d + j = j - 7 here, with beta+_0 = gamma_1
     assert list(plus.values) == [0, -6, -5, -4]
     plus2, _ = parameter_maps(G_3, 1, 3)
-    assert plus2[0] == G_3[1]
-    assert plus2[1] == -(G_3[2] + G_3[3] + G_3[4]) - 2 - 3 + 1
+    assert plus2.values[0] == G_3[1]
+    assert plus2.values[1] == -(G_3[2] + G_3[3] + G_3[4]) - 2 - 3 + 1
 
 
 def test_predicted_action_validation():
@@ -438,6 +438,12 @@ ESCAPE_GAMMAS = ("-1/2,-5/2,5/2", "1/2,-2/3,2/3", "0,3/2,-3/2", "1,1/2,-1/2")
 # operator has a coefficient that its rule cannot resolve
 WRONG_FAIL_GAMMAS = ("5/3,1/2,-5/4,-5/4", "1/2,1/2,-1/2,-1/2")
 FAULT_GAMMAS = tuple(ParamVector.parse(text) for text in ESCAPE_GAMMAS + WRONG_FAIL_GAMMAS)
+# d = 4 gammas on which factors of the unreduced denominator vanish, so that
+# limits are taken with m = 3
+LIMIT_GAMMAS_4 = tuple(
+    ParamVector.parse(text)
+    for text in ("0,0,0,0,0", "1/2,1/2,-1/2,-1/2,1/2", "-1/2,1/2,1/2,-1/2,-1/2")
+)
 
 
 def _general_ops(n, gamma):
@@ -493,18 +499,30 @@ def test_product_form_agrees_with_reduced_fractions(gamma, monkeypatch):
                 coef = term.coef
                 reduced = folded[coef.sigma]
                 for nu in level_indices(n, d):
-                    expected = _outcome(lambda: fraction_value(reduced, coef.z_of_nu(nu)))
+                    expected = _outcome(lambda: fraction_value(reduced, coef.family.z_of_nu(nu)))
                     assert _outcome(lambda: coef.eval(nu)) == expected, (op.name, n, term.shift, nu)
     if gamma in (G0_2, G0_3) + FAULT_GAMMAS:
         assert limits
 
 
-@pytest.mark.parametrize("gamma", (G0_2, G0_3) + FAULT_GAMMAS, ids=lambda g: ",".join(g.to_json()))
+@pytest.mark.parametrize(
+    "gamma", (G0_2, G0_3) + FAULT_GAMMAS + LIMIT_GAMMAS_4, ids=lambda g: ",".join(g.to_json())
+)
 def test_limit_does_not_depend_on_the_direction(gamma, monkeypatch):
-    def matrices():
-        return [op.matrix_on_level(n) for n in range(4) for _, _, op in _general_ops(n, gamma)]
+    """Every R+/-:j matrix, limits taken, equals the differential M_j^+/-
+    matrix, and the same along another direction."""
+    levels = range(3) if gamma.d == 4 else range(4)
 
+    def matrices():
+        return [op.matrix_on_level(n) for n in levels for _, _, op in _general_ops(n, gamma)]
+
+    limits = _count_limits(monkeypatch)
     along_v = matrices()
+    assert limits
+    contexts = {n: ModuleContext(gamma.d, n, gamma) for n in levels}
+    assert along_v == [
+        contexts[n].m_matrix(j, variant) for n in levels for j, variant, _ in _general_ops(n, gamma)
+    ]
     # v' = (2/5, 3/13, 5/17, ...): another set of positive rationals whose
     # nonempty sums never vanish
     other = tuple(Rat(p, q) for p, q in ((2, 5), (3, 13), (5, 17), (7, 29), (11, 37)))

@@ -70,7 +70,6 @@ ALLOWED = {
     "params.py:ParamVector.__repr__": "debugging display",
     "params.py:ParamVector.__len__": "sequence protocol of a gamma vector; the moment seam calls it",
     "errors.py:SingularSystem.__init__": "error constructor: runs only when a solve is singular",
-    "racah.py:CoefficientEvaluator.eval": "interface method, overridden by every evaluator",
     "racah.py:RacahOp.assemble": (
         "benchmark seam: perfbench/tracer.py hooks it for racah.assemble_s; "
         "it leaves src with ROADMAP item 1"
@@ -93,6 +92,7 @@ ALLOWED = {
         "benchmark seam until ROADMAP item 1: perfbench/tracer.py and reference.py call it"
     ),
     "racah.py:_racah_operator_cached": "benchmark seam until ROADMAP item 1: perfbench/tracer.py hooks it",
+    "racah.py:parameter_maps": "benchmark seam until ROADMAP item 1: perfbench/reference.py builds beta- with it",
     "racah.py:ZFraction.reduce": "benchmark seam until ROADMAP item 1: perfbench/tracer.py hooks it",
 }
 

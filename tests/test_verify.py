@@ -361,6 +361,28 @@ def test_submodule_diagnostic(ctx_3):
     ))).status == "pass"
 
 
+def test_submodule_diagnostic_names_the_leaking_operator(monkeypatch):
+    original = ModuleContext.generator_matrix
+
+    def leaking(pair):
+        # a dense generator matrix at d = 3 leaks out of every proper block
+        def generator_matrix(ctx, i, j):
+            matrix = original(ctx, i, j)
+            if ctx.d == 3 and (i, j) == pair:
+                return ExactMatrix([[1] * matrix.cols for _ in range(matrix.rows)])
+            return matrix
+
+        return generator_matrix
+
+    for pair, details in (
+        ((2, 3), "L_(2,3) leaks out of the block nu_1=0"),
+        ((1, 2), "hat operator leaks out of the nu_3..nu_d=0 block"),
+    ):
+        monkeypatch.setattr(ModuleContext, "generator_matrix", leaking(pair))
+        result = submodule_diagnostic(ModuleContext(3, 2, G_3))
+        assert (result.status, result.details) == ("fail", details)
+
+
 def test_verify_relations(ctx_3):
     assert verify_relations(ctx_3).status == "pass"
 
