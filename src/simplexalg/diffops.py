@@ -1,8 +1,20 @@
 """Differential operators of the simplex symmetry algebra.
 
 A ``DiffOp`` in d variables is a finite sum of polynomial coefficients times
-mixed partial derivatives, stored fully expanded as a map from derivative
-multi-indices to ``MultiPoly`` coefficients.  The generators are
+mixed partial derivatives, stored fully expanded and fraction-free: one
+positive integer ``den`` and integer numerators ``nums``, a map from packed
+derivative keys to maps from packed exponent keys to nonzero ints, so the
+coefficient of x^e d^alpha is nums[alpha][e] / den.  A vector (v_1..v_d) of
+exponents or derivative orders packs into one int with 8 bits per entry,
+v_1 in the lowest byte, so adding exponents is one integer addition; an
+entry above 255 raises ``PackingOverflow`` before any key is formed.  The
+form is canonical (no zero numerators, gcd(den, every numerator) = 1), so
+equality of operators is equality of data, and sums, scalings, compositions
+and actions on polynomials run on ints with one ``Rat`` per coefficient
+only where a result leaves the integers: ``apply`` and the read-only
+``terms`` view {derivative tuple: MultiPoly}.
+
+The generators are
 
     L_{i,j} = x_i x_j (d_i - d_j)^2 + ((g_i+1) x_j - (g_j+1) x_i)(d_i - d_j)
                                                    for 1 <= i < j <= d,
@@ -21,23 +33,101 @@ anticommutator identities become literal equality of expanded data.
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from math import comb, lcm, perm
+from itertools import chain, combinations, product
+from math import comb, gcd, lcm, perm, prod
+from types import MappingProxyType
 from typing import Mapping
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, PackingOverflow
 from .params import require_valid
 from .poly import MultiPoly
 from .scalar import Rat, as_rat
 
+#: The largest exponent or derivative order a packed key holds (8 bits).
+FIELD_MAX = 255
+
+
+def _pack(vector) -> int:
+    """One int for a vector of entries in 0..FIELD_MAX, entry k in byte k."""
+    return int.from_bytes(bytes(vector), "little")
+
+
+def _unpack(key: int, dim: int) -> tuple:
+    return tuple(key.to_bytes(dim, "little"))
+
+
+def _check_fields(top: int, what: str):
+    if top > FIELD_MAX:
+        raise PackingOverflow(f"{what} reaches {top}, above the packed field's {FIELD_MAX}")
+
+
+def _derive(nums: dict, delta: tuple) -> list:
+    """d^delta of every coefficient of ``nums``, as [(beta, [(exponent, numerator)])],
+    one variable at a time: d_k^r x^e = (e_k)_r x^(e - r e_k), with the falling
+    factorial (e_k)_r."""
+    fields = [(8 * k, order) for k, order in enumerate(delta) if order]
+    out = []
+    for beta, q in nums.items():
+        terms = list(q.items())
+        for bit, order in fields:
+            terms = [
+                (e - (order << bit), n * w)
+                for e, n in terms
+                if (w := perm((e >> bit) & FIELD_MAX, order))
+            ]
+        if terms:
+            out.append((beta, terms))
+    return out
+
+
+def _leibniz(p_nums: dict, q_nums: dict, dim: int, full: bool = True) -> dict:
+    """Numerators of p o q by the Leibniz rule, in one pass,
+
+        p d^alpha o q d^beta
+            = sum_{delta <= alpha} C(alpha, delta) p (d^delta q) d^(alpha-delta+beta),
+
+    where every term is an integer weight times one numerator of p and one
+    of q.  With ``full`` false only delta = alpha is taken: when q is a
+    polynomial (beta = 0 only), that is the order-0 part, p applied to q."""
+    derived: dict = {}
+    accumulators: dict = {}
+    for alpha, p in p_nums.items():
+        p_items = list(p.items())
+        orders = _unpack(alpha, dim)
+        deltas = product(*(range(a + 1) for a in orders)) if full else (orders,)
+        for delta in deltas:
+            dq = derived.get(delta)
+            if dq is None:
+                dq = derived[delta] = _derive(q_nums, delta)
+            binomial = prod(map(comb, orders, delta))
+            base = alpha - _pack(delta)
+            for beta, q in dq:
+                acc = accumulators.get(base + beta)
+                if acc is None:
+                    acc = accumulators[base + beta] = {}
+                get = acc.get
+                for e1, n1 in p_items:
+                    n1 *= binomial
+                    for e2, n2 in q:
+                        key = e1 + e2
+                        acc[key] = get(key, 0) + n1 * n2
+    return accumulators
+
 
 class DiffOp:
-    """Finite sum of MultiPoly coefficients times partial derivatives."""
+    """Finite sum of polynomial coefficients times partial derivatives, kept
+    as integer numerators over one denominator (see the module docstring).
 
-    __slots__ = ("dim", "terms")
+    ``DiffOp(dim, {derivative tuple: MultiPoly or scalar})`` validates and
+    packs; ``terms`` is the same data as {derivative tuple: MultiPoly},
+    built on first read.  ``top`` bounds every entry of every derivative and
+    exponent vector, so a result whose entries could leave the packed field
+    raises ``PackingOverflow`` before it is computed."""
+
+    __slots__ = ("dim", "den", "nums", "top", "_terms")
 
     def __init__(self, dim: int, terms: Mapping = ()):
-        canonical = {}
+        coefficients = {}
         for deriv, coefficient in dict(terms).items():
             deriv = tuple(int(e) for e in deriv)
             if len(deriv) != dim or any(e < 0 for e in deriv):
@@ -47,9 +137,21 @@ class DiffOp:
             if coefficient.dim != dim:
                 raise DimensionMismatch("coefficient dimension mismatch")
             if not coefficient.is_zero():
-                canonical[deriv] = coefficient
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", canonical)
+                coefficients[deriv] = coefficient.terms
+        top = max(chain.from_iterable(chain(coefficients, *coefficients.values())), default=0)
+        _check_fields(top, "an exponent or derivative order")
+        den = lcm(*(c.denominator for poly in coefficients.values() for c in poly.values()))
+        nums = {
+            _pack(deriv): {
+                _pack(e): c.numerator * (den // c.denominator) for e, c in poly.items()
+            }
+            for deriv, poly in coefficients.items()
+        }
+        self._set(dim, den, nums, top)
+
+    def _set(self, dim: int, den: int, nums: dict, top: int):
+        for name, value in (("dim", dim), ("den", den), ("nums", nums), ("top", top), ("_terms", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffOp is immutable")
@@ -57,11 +159,16 @@ class DiffOp:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _raw(cls, dim: int, terms: dict) -> "DiffOp":
-        """Trusted constructor: ``terms`` is already canonical (internal use)."""
+    def _canonical(cls, dim: int, den: int, nums: dict, top: int) -> "DiffOp":
+        """Trusted constructor: ``nums`` holds no zero numerators and no empty
+        coefficient; the content shared with ``den`` is divided out."""
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(map(dict.values, nums.values())))
+            if g != 1:
+                den //= g
+                nums = {a: {e: n // g for e, n in m.items()} for a, m in nums.items()}
         self = object.__new__(cls)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", terms)
+        self._set(dim, den, nums, top)
         return self
 
     @classmethod
@@ -70,13 +177,27 @@ class DiffOp:
 
     # -- structure --------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping:
+        """Read-only {derivative tuple: MultiPoly}, built on first read."""
+        if self._terms is None:
+            dim, den = self.dim, self.den
+            view = {
+                _unpack(alpha, dim): MultiPoly._raw(
+                    dim, {_unpack(e, dim): Rat(n, den) for e, n in m.items()}
+                )
+                for alpha, m in self.nums.items()
+            }
+            object.__setattr__(self, "_terms", MappingProxyType(view))
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return self.dim == other.dim and self.den == other.den and self.nums == other.nums
 
     def _check_dim(self, other: "DiffOp"):
         if self.dim != other.dim:
@@ -84,97 +205,80 @@ class DiffOp:
 
     # -- linear algebra ----------------------------------------------------
 
-    def __add__(self, other: "DiffOp") -> "DiffOp":
+    def _combine(self, other: "DiffOp", sign: int) -> "DiffOp":
+        """self + sign * other over lcm(self.den, other.den)."""
         self._check_dim(other)
-        out = dict(self.terms)
-        for deriv, coefficient in other.terms.items():
-            total = out[deriv] + coefficient if deriv in out else coefficient
-            if total:
-                out[deriv] = total
-            else:
-                del out[deriv]
-        return DiffOp._raw(self.dim, out)
+        den = lcm(self.den, other.den)
+        mine, theirs = den // self.den, sign * (den // other.den)
+        out = {a: {e: n * mine for e, n in m.items()} for a, m in self.nums.items()}
+        for beta, m in other.nums.items():
+            acc = out.get(beta)
+            if acc is None:
+                out[beta] = {e: n * theirs for e, n in m.items()}
+                continue
+            for e, n in m.items():
+                total = acc.get(e, 0) + n * theirs
+                if total:
+                    acc[e] = total
+                else:
+                    del acc[e]
+            if not acc:
+                del out[beta]
+        return DiffOp._canonical(self.dim, den, out, max(self.top, other.top))
 
-    def __neg__(self) -> "DiffOp":
-        return DiffOp._raw(self.dim, {a: -c for a, c in self.terms.items()})
+    def __add__(self, other: "DiffOp") -> "DiffOp":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def scale(self, value) -> "DiffOp":
         value = as_rat(value)
-        return DiffOp(self.dim, {a: c.scale(value) for a, c in self.terms.items()})
+        if not value:
+            return DiffOp.zero(self.dim)
+        factor = value.numerator
+        nums = {a: {e: n * factor for e, n in m.items()} for a, m in self.nums.items()}
+        return DiffOp._canonical(self.dim, self.den * value.denominator, nums, self.top)
 
     # -- composition and action --------------------------------------------
 
-    def _numerators(self) -> tuple:
-        """(D, {alpha: [(exponent, N)]}) with every coefficient N / D, N an int."""
-        den = 1
-        for poly in self.terms.values():
-            for c in poly.terms.values():
-                den = lcm(den, c.denominator)
-        return den, {
-            alpha: [(e, c.numerator * (den // c.denominator)) for e, c in poly.terms.items()]
-            for alpha, poly in self.terms.items()
-        }
-
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
-        """Operator composition (self after other) via the Leibniz rule,
-
-            p d^alpha o q d^beta
-                = sum_{delta <= alpha} C(alpha, delta) p (d^delta q) d^(alpha-delta+beta),
-
-        in one pass: d^delta x^e = (e)_delta x^(e-delta) with the falling
-        factorial (e)_delta, so every term of the result is an integer weight
-        times one coefficient of p and one of q.  The coefficients are taken
-        over a common denominator, so the accumulation is in integers."""
+        """Operator composition (self after other) by the Leibniz rule, on the
+        integer numerators over den(self) * den(other)."""
         self._check_dim(other)
-        p_den, p_terms = self._numerators()
-        q_den, q_terms = other._numerators()
-        accumulators: dict = {}
-        for alpha, p in p_terms.items():
-            for delta in product(*(range(a + 1) for a in alpha)):
-                binomial = 1
-                for a, dlt in zip(alpha, delta):
-                    binomial *= comb(a, dlt)
-                for beta, q in q_terms.items():
-                    deriv = tuple(a - dlt + b for a, dlt, b in zip(alpha, delta, beta))
-                    acc = accumulators.get(deriv)
-                    if acc is None:
-                        acc = accumulators[deriv] = {}
-                    get = acc.get
-                    for e2, n2 in q:
-                        weight = binomial
-                        for e, dlt in zip(e2, delta):
-                            if dlt:
-                                weight *= perm(e, dlt)
-                        if not weight:
-                            continue
-                        weighted = weight * n2
-                        shifted = tuple(e - dlt for e, dlt in zip(e2, delta))
-                        for e1, n1 in p:
-                            exponent = tuple(a + b for a, b in zip(e1, shifted))
-                            acc[exponent] = get(exponent, 0) + n1 * weighted
-        den = p_den * q_den
+        top = self.top + other.top
+        _check_fields(top, "a composed exponent or derivative order")
         out = {}
-        for deriv, acc in accumulators.items():
-            terms = {exponent: Rat(n, den) for exponent, n in acc.items() if n}
-            if terms:
-                out[deriv] = MultiPoly._raw(self.dim, terms)
-        return DiffOp._raw(self.dim, out)
+        for deriv, acc in _leibniz(self.nums, other.nums, self.dim).items():
+            acc = {e: n for e, n in acc.items() if n}
+            if acc:
+                out[deriv] = acc
+        return DiffOp._canonical(self.dim, self.den * other.den, out, top)
 
     def apply(self, poly: MultiPoly) -> MultiPoly:
+        """The polynomial self(poly): poly's numerators over the lcm of its
+        denominators, differentiated by falling factorials and multiplied by
+        the operator's numerators, with one ``Rat`` per output term."""
         if poly.dim != self.dim:
             raise DimensionMismatch(f"operator dim {self.dim}, polynomial dim {poly.dim}")
-        result = MultiPoly.zero(self.dim)
-        for deriv, coefficient in self.terms.items():
-            dp = poly.deriv_multi(deriv)
-            if not dp.is_zero():
-                result = result + coefficient * dp
-        return result
+        dim = self.dim
+        _check_fields(
+            self.top + max(chain.from_iterable(poly.terms), default=0),
+            "an exponent of the image",
+        )
+        den = lcm(*(c.denominator for c in poly.terms.values()))
+        numerators = {
+            int.from_bytes(bytes(e), "little"): c.numerator * (den // c.denominator)
+            for e, c in poly.terms.items()
+        }
+        den *= self.den
+        image = _leibniz(self.nums, {0: numerators}, dim, full=False).get(0, {})
+        return MultiPoly._raw(
+            dim, {tuple(e.to_bytes(dim, "little")): Rat(n, den) for e, n in image.items() if n}
+        )
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for deriv, coefficient in sorted(self.terms.items()):

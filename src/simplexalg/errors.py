@@ -38,3 +38,8 @@ class SingularSystem(ExactAlgebraError):
 class InvariantViolation(ExactAlgebraError):
     """A result that holds by construction came out wrong: a defect in this
     package, never a property of the input."""
+
+
+class PackingOverflow(ExactAlgebraError):
+    """An exponent or derivative order of a differential operator would not
+    fit the bit field of its packed key."""

@@ -184,13 +184,6 @@ class MultiPoly:
             poly = MultiPoly._raw(self.dim, out)
         return poly
 
-    def deriv_multi(self, orders) -> "MultiPoly":
-        poly = self
-        for index, order in enumerate(orders):
-            if order:
-                poly = poly.deriv(index, order)
-        return poly
-
     def subs_var(self, index: int, replacement: "MultiPoly") -> "MultiPoly":
         """Substitute a polynomial for the variable x_{index+1} (same dim)."""
         self._check_dim(replacement)

@@ -742,7 +742,7 @@ class _FoldedFamily:
     constant.  Where no denominator factor vanishes this is the coefficient's
     value.  Where one does, ``_limit`` multiplies the same factors over Q[t],
     with the inputs at gamma0 + t·v (``_over_t``, built on the first limit)
-    and z and the boundary free of t, and returns their exact limit as
+    and z free of t, and returns their exact limit as
     t -> 0.  The zero shift's polynomial terms are continuous, so they are
     read at t = 0.
     """
@@ -752,8 +752,6 @@ class _FoldedFamily:
         self.z_of_nu = z_of_nu
         self.beta, self.fold, self.b_factors = _family_inputs(variant, m, n, gamma)
         beta = self.beta
-        # z_{m+1} = |nu| = n when the action reaches the last index
-        self.boundary = n if m + 1 == len(gamma) - 1 else None
         self.identity_const = (beta[0] + 1) * (beta[m + 1] - 1) / 2
         self.constant = 0 if self.fold is None else n * (n + beta[m + 1] - beta[0] - 1)
 
@@ -761,8 +759,6 @@ class _FoldedFamily:
         """(fold numerator, kernels, denominator factors) of C_sigma at z, the
         kernels lazily, in order."""
         zs = [0, *z]  # zs[k] = z_k with z_0 = 0
-        if self.boundary is not None:
-            zs[-1] = self.boundary
         z1 = zs[1]
         bits = [0, *map(abs, sigma), 0]
         den = []
@@ -798,9 +794,8 @@ class _FoldedFamily:
             else:
                 value /= prod(den)
         if not any(sigma):
-            m = self.m
-            last = z[m] if self.boundary is None else self.boundary
-            value -= last * (last + self.beta[m + 1]) + self.identity_const
+            last = z[self.m]
+            value -= last * (last + self.beta[self.m + 1]) + self.identity_const
             value += self.constant
         return value
 

@@ -18,7 +18,9 @@ pairs, the rank oracle ranks the generators' actions on monomials instead of
 their coefficients, the total operator is built from its closed form
 instead of as a pair sum, the composition oracle differentiates and
 multiplies whole coefficient polynomials for each Leibniz term instead of
-accumulating weighted monomial products in one pass, the F relation and
+accumulating weighted monomial products in one pass, the apply oracle sums
+coefficient times derivative as MultiPoly products instead of applying
+falling factorials to integer numerators over one denominator, the F relation and
 commutation oracles evaluate F and the commutators on the generator matrices
 of one level instead of reporting the operator identities that hold for
 every level, and the kd oracle checks all three forms of each triple relation
@@ -82,6 +84,14 @@ def poly_value(poly: MultiPoly, point) -> Rat:
         (c * prod(v ** e for v, e in zip(point, exponent)) for exponent, c in poly.terms.items()),
         Rat(0),
     )
+
+
+def deriv_multi(poly: MultiPoly, orders) -> MultiPoly:
+    """The mixed partial derivative of ``poly``, one variable at a time."""
+    for index, order in enumerate(orders):
+        if order:
+            poly = poly.deriv(index, order)
+    return poly
 
 
 def jacobi1d(n: int, alpha, beta) -> MultiPoly:
@@ -156,6 +166,18 @@ class RingMatrix(ExactMatrix):
         return span.dim
 
 
+def apply_oracle(op: DiffOp, poly: MultiPoly) -> MultiPoly:
+    """op(poly) as a sum of MultiPoly products, coefficient times derivative."""
+    if poly.dim != op.dim:
+        raise DimensionMismatch(f"operator dim {op.dim}, polynomial dim {poly.dim}")
+    result = MultiPoly.zero(op.dim)
+    for deriv, coefficient in op.terms.items():
+        dp = deriv_multi(poly, deriv)
+        if not dp.is_zero():
+            result = result + coefficient * dp
+    return result
+
+
 def compose_oracle(a: DiffOp, b: DiffOp) -> DiffOp:
     """a after b by the Leibniz rule, one MultiPoly product per (alpha, beta, delta)."""
     out: dict = {}
@@ -163,7 +185,7 @@ def compose_oracle(a: DiffOp, b: DiffOp) -> DiffOp:
         deltas = [range(e + 1) for e in alpha]
         for beta, q in b.terms.items():
             for delta in product(*deltas):
-                dq = q.deriv_multi(delta)
+                dq = deriv_multi(q, delta)
                 if dq.is_zero():
                     continue
                 factor = 1
@@ -602,7 +624,10 @@ def folded_fractions(family) -> dict:
     predicted M_j action: the general family built symbolically, times the
     g(nu) conjugation factor of the plus variant, plus its constant on the
     zero shift."""
-    zop = racah_operator(family.m, family.beta, boundary=family.boundary)
+    # z_{m+1} = |nu| = n when the action reaches the last index; fixing it
+    # before the reduction cancels the factors that vanish there
+    boundary = family.n if family.m + 1 == len(family.gamma) - 1 else None
+    zop = racah_operator(family.m, family.beta, boundary=boundary)
     if family.fold is None:
         return zop.terms
     g1, A = family.fold

@@ -1,10 +1,15 @@
+import os
 import random
-from itertools import combinations
-from math import comb
+import subprocess
+import sys
+from itertools import chain, combinations
+from math import comb, gcd, lcm
+from pathlib import Path
 
 import pytest
 
 from oracles import (
+    apply_oracle,
     compose_oracle,
     generator_rank_oracle,
     l_total_closed_form,
@@ -12,6 +17,7 @@ from oracles import (
     sample_valid_gammas,
 )
 from simplexalg.diffops import (
+    FIELD_MAX,
     DiffOp,
     commutator,
     f_combination,
@@ -21,7 +27,8 @@ from simplexalg.diffops import (
     m_operator,
     pair_counts,
 )
-from simplexalg.jacobi import graded_indices
+from simplexalg.errors import PackingOverflow
+from simplexalg.jacobi import graded_indices, jacobi_simplex
 from simplexalg.params import ParamVector
 from simplexalg.poly import MultiPoly
 from simplexalg.scalar import Rat
@@ -246,3 +253,150 @@ def test_generators_linearly_independent(d, gamma):
 @pytest.mark.parametrize("d,gamma", [(2, G0), (3, G3), (4, G4), (5, G5)])
 def test_rank_agrees_with_monomial_oracle(d, gamma):
     assert generator_rank(d, gamma) == generator_rank_oracle(d, gamma) == comb(d + 1, 2)
+
+
+# -- the integer form against MultiPoly arithmetic -----------------------------
+
+#: Denominators of random coefficients: pairwise coprime, so that sums and
+#: products of operators meet several primes.
+DENOMINATORS = (1, 2, 3, 5, 7, 11, 13)
+G2 = ParamVector([Rat(1, 2), Rat(1, 3), Rat(1, 4)])
+
+
+def random_vector(rng, d, total):
+    vector = [0] * d
+    for _ in range(rng.randint(0, total)):
+        vector[rng.randrange(d)] += 1
+    return tuple(vector)
+
+
+def random_poly(rng, d, degree=3, terms=3):
+    return MultiPoly(
+        d,
+        {
+            random_vector(rng, d, degree): Rat(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+            for _ in range(terms)
+        },
+    )
+
+
+def random_op(rng, d, order=4):
+    return DiffOp(d, {random_vector(rng, d, order): random_poly(rng, d) for _ in range(3)})
+
+
+def terms_combination(a, b, sign):
+    """a + sign * b on the MultiPoly view, coefficient by coefficient."""
+    out = dict(a.terms)
+    for deriv, coefficient in b.terms.items():
+        out[deriv] = out.get(deriv, MultiPoly.zero(a.dim)) + coefficient.scale(sign)
+    return {deriv: coefficient for deriv, coefficient in out.items() if coefficient}
+
+
+def assert_canonical(op):
+    # the one denominator is the lcm of the view's and shares no factor with
+    # every numerator, so equal operators have equal data
+    values = [c for poly in op.terms.values() for c in poly.terms.values()]
+    assert op.den == lcm(*(c.denominator for c in values))
+    assert gcd(op.den, *chain.from_iterable(m.values() for m in op.nums.values())) == 1
+    assert all(chain.from_iterable(m.values() for m in op.nums.values()))
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_integer_form_agrees_with_multipoly_arithmetic(d):
+    rng = random.Random(500 + d)
+    for _ in range(6):
+        a, b = random_op(rng, d), random_op(rng, d)
+        r = Rat(rng.choice((-1, 1)) * rng.randint(1, 30), rng.choice(DENOMINATORS))
+        composed = a @ b
+        assert composed == compose_oracle(a, b)
+        assert dict((a + b).terms) == terms_combination(a, b, 1)
+        assert dict((a - b).terms) == terms_combination(a, b, -1)
+        assert dict(a.scale(r).terms) == {deriv: c.scale(r) for deriv, c in a.terms.items()}
+        assert a.scale(0).is_zero() and (a - a).is_zero()
+        assert DiffOp(d, a.terms) == a and a + b - b == a
+        assert (a.scale(r) == a) == (r == 1)
+        for op in (a, composed, a + b, a - b, a.scale(r)):
+            assert_canonical(op)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_apply_agrees_with_oracle_on_random_polynomials(d):
+    rng = random.Random(600 + d)
+    for _ in range(6):
+        op, poly = random_op(rng, d), random_poly(rng, d, degree=5, terms=6)
+        assert op.apply(poly) == apply_oracle(op, poly)
+
+
+@pytest.mark.parametrize("gamma", [G2, G3], ids=["G_2", "G_3"])
+def test_apply_agrees_with_oracle_on_the_graded_family(gamma):
+    d = gamma.d
+    rng = random.Random(700 + d)
+    ops = [l_operator(i, j, d, gamma) for i, j in combinations(range(1, d + 2), 2)]
+    ops += [m_operator(j, d, gamma, v) for j in range(1, d + 1) for v in ("plain", "plus", "minus")]
+    ops += [random_op(rng, d) for _ in range(4)]
+    for nu in graded_indices(3, d):
+        poly = jacobi_simplex(nu, gamma)
+        for op in ops:
+            assert op.apply(poly) == apply_oracle(op, poly), (nu, op)
+
+
+def test_operators_a_tiny_rational_apart_are_unequal():
+    # equal numerators over different denominators, and one coefficient
+    # moved by 10^-12 on a generator, both compare unequal
+    third, quarter = DiffOp(1, {(1,): Rat(1, 3)}), DiffOp(1, {(1,): Rat(1, 4)})
+    assert third.nums == quarter.nums and third != quarter
+    op = l_operator(1, 2, 3, G3)
+    nudge = DiffOp(3, {(1, 0, 0): MultiPoly.monomial(3, (0, 1, 0), Rat(1, 10**12))})
+    assert op + nudge != op and not (op + nudge - op).is_zero()
+    assert (op + nudge - nudge) == op
+
+
+# Every way to reach a key entry above FIELD_MAX; run as a script, so that it
+# runs under python -O too.
+OVERFLOW_PROBE = """
+from simplexalg.diffops import DiffOp
+from simplexalg.errors import PackingOverflow
+from simplexalg.poly import MultiPoly
+
+high = DiffOp(2, {(128, 0): MultiPoly.monomial(2, (0, 128))})
+cases = {
+    "derivative order 256": lambda: DiffOp(2, {(256, 0): 1}),
+    "exponent 300": lambda: DiffOp(1, {(0,): MultiPoly.monomial(1, (300,))}),
+    "composed orders 128 + 128": lambda: high @ high,
+    "image exponents 128 + 128": lambda: high.apply(MultiPoly.monomial(2, (128, 128))),
+}
+for name, build in cases.items():
+    try:
+        build()
+    except PackingOverflow:
+        print(name, "raises")
+    else:
+        print(name, "returns")
+"""
+OVERFLOW_RAISES = [
+    "derivative order 256 raises",
+    "exponent 300 raises",
+    "composed orders 128 + 128 raises",
+    "image exponents 128 + 128 raises",
+]
+
+
+def test_packing_overflow_raises_a_named_error(capsys):
+    exec(OVERFLOW_PROBE, {})
+    assert capsys.readouterr().out.splitlines() == OVERFLOW_RAISES
+    # the largest entry a field holds packs and reads back
+    edge = DiffOp(2, {(FIELD_MAX, 0): MultiPoly.monomial(2, (0, FIELD_MAX))})
+    assert dict(edge.terms) == {(FIELD_MAX, 0): MultiPoly.monomial(2, (0, FIELD_MAX))}
+    with pytest.raises(PackingOverflow):
+        DiffOp(1, {(1,): 1}) @ DiffOp(1, {(FIELD_MAX,): 1})
+
+
+def test_packing_overflow_raises_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", OVERFLOW_PROBE],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == OVERFLOW_RAISES

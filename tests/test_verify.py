@@ -551,6 +551,23 @@ def test_wrong_f_operator_fails_alike_on_every_level(monkeypatch, fresh_caches):
         )
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_f_factor_off_by_a_thousandth_fails(monkeypatch, d):
+    # (1-g_k^2)(1-g_l^2) L_ij times 1001/1000 on the right-hand side: the
+    # common-denominator comparison sees a relative error of 1/1000
+    right = verify.l_operator
+    gamma = G_3 if d == 3 else sample_valid_gammas(66, 4, 1)[0]
+    assert verify._f_verdict.__wrapped__(d, gamma)[0] == "pass"
+
+    def off(i, j, dim, params):
+        return right(i, j, dim, params).scale(Rat(1001, 1000))
+
+    monkeypatch.setattr(verify, "l_operator", off)
+    assert verify._f_verdict.__wrapped__(d, gamma) == (
+        "fail", f"operator identity fails for (i,j,k,l)={(2, 3, 1, d + 1)}"
+    )
+
+
 def test_kd_operator_mutant_fails_kd_and_kd_matrix_on_every_level(monkeypatch):
     # 2 L_{1,2} keeps every level invariant but breaks [L_{1,3}, L_{1,2}+L_{2,3}] = 0
     right = verify.l_operator
