@@ -25,6 +25,14 @@ class DegenerateParameter(ExactAlgebraError):
     """
 
 
+class RangeEscape(ExactAlgebraError, ValueError):
+    """A difference operator has a nonzero coefficient whose shift leaves the
+    nonnegative indices of the level, so it does not act on that level.
+
+    The message names the operator, the coefficient, nu and the shift.
+    """
+
+
 class SingularSystem(ExactAlgebraError):
     """An exact linear solve hit a singular or inconsistent system."""
 

@@ -35,15 +35,17 @@ produces the difference operators representing the cyclic Jucys-Murphy
 operators M_j^+ and M_j^- on the span of {P_nu : |nu| = n}: the plus variant
 is conjugated by g(nu) = (1+gamma_1)_{nu_1} / (|gamma|+2n+d-nu_1)_{nu_1} and
 shifted by the constant n(n + beta^+_j - beta^+_0 - 1).  M_j^- reads nu in
-the reverse order of M_j^+.  Its coefficients are evaluated pointwise from
-one product form over any ring: ``_family_inputs`` builds beta, the g(nu)
-fold and the factors b_i from gamma, and ``_FoldedFamily._factors`` returns
-the kernels, the fold numerator and the unreduced denominator at the
-involuted point.  Every matrix entry is a rational function of gamma that is
-regular at a valid gamma0.  Wherever no factor of the unreduced denominator
-vanishes, the product of those factors over Q is that entry.  Where one
-vanishes, the same factors are taken over Q[t] at gamma0 + t·v for a fixed
-direction v, and the entry is their exact limit as t -> 0.
+the reverse order of M_j^+.  Its coefficients are evaluated one column (one
+nu) at a time: ``_family_inputs`` builds beta, the g(nu) fold and the
+factors b_i from gamma, and ``_FoldedFamily.column`` tabulates the kernels
+and denominators of every sign at z(nu) as integers (scaled by powers of
+the lcm of gamma's denominators), then walks the sign patterns prefix by
+prefix, multiplying table entries, and makes one rational per pattern.
+Every matrix entry is a rational function of gamma that is regular at a
+valid gamma0.  Wherever no factor of the unreduced denominator vanishes,
+that walk gives the entry.  Where one vanishes, ``_FoldedFamily._factors``
+returns the same factors over Q[t] at gamma0 + t·v for a fixed direction v,
+and the entry is their exact limit as t -> 0.
 """
 
 from __future__ import annotations
@@ -52,11 +54,11 @@ import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, product
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .errors import DegenerateParameter, DimensionMismatch, InvariantViolation
+from .errors import DegenerateParameter, DimensionMismatch, InvariantViolation, RangeEscape
 from .jacobi import level_indices
 from .linalg import ExactMatrix
 from .params import require_valid
@@ -405,7 +407,7 @@ class RacahOp:
         Raises DegenerateParameter, naming the shift and nu, at the first
         coefficient that cannot be resolved.  Coefficients of shifts that
         would leave the nonnegative range must evaluate to zero; a nonzero
-        escaping coefficient is an error.
+        escaping coefficient raises RangeEscape.
         """
         basis = level_indices(n, self.d)
         index = {nu: i for i, nu in enumerate(basis)}
@@ -421,12 +423,12 @@ class RacahOp:
                     continue
                 target = tuple(a + b for a, b in zip(nu, term.shift))
                 if any(t < 0 for t in target):
-                    raise ValueError(
+                    raise RangeEscape(
                         f"{self.name}: nonzero coefficient {rat_str(value)} escapes the "
                         f"range at nu={nu}, shift {term.shift}"
                     )
                 entries[index[target]][col] += value
-        return ExactMatrix(entries)
+        return ExactMatrix._raw(size, size, entries)
 
 
 # -- printed-coefficient evaluators -----------------------------------------
@@ -730,21 +732,62 @@ def _family_inputs(variant: str, m: int, n: int, g) -> tuple:
     return beta, fold, b_factors
 
 
+def _scaled(values, unit: int) -> tuple:
+    """unit·v for each v, as ints; InvariantViolation where one is not an integer."""
+    out = []
+    for v in values:
+        scaled = as_rat(v) * unit
+        if scaled.denominator != 1:
+            raise InvariantViolation(f"{unit}·{rat_str(v)} is not an integer")
+        out.append(int(scaled.numerator))
+    return tuple(out)
+
+
+def _link(s: int, t: int, P: int, Q: int, a: int, b: int, D: int) -> int:
+    """2D²·B_k^{|s|,|t|}(x, y) for P = D·x, Q = D·y, a = D·beta_k and
+    b = D·beta_{k+1}: ``_kernel`` scaled to an integer."""
+    if not s:
+        if not t:
+            return 2 * P * (P + a) + 2 * Q * (Q + b) + (a + D) * (b - D)
+        return 2 * (Q + P + b) * (Q - P + b - a)
+    if not t:
+        return 2 * (Q - P) * (Q + P + b)
+    return 2 * (Q + P + b) * (Q + P + b + D)
+
+
+def _b_entry(s: int, P: int, a: int, D: int) -> int:
+    """4D²·b_k^{|s|}(x) for P = D·x and a = D·beta_k."""
+    if not s:
+        return 2 * (2 * P + a + D) * (2 * P + a - D)
+    return 4 * (2 * P + a + D) * (2 * P + a)
+
+
 class _FoldedFamily:
     """The coefficients of one predicted M_j action, C_{m,sigma} read on nu.
 
-    One product form serves both rings.  ``_family_inputs`` builds beta, the
-    fold and the b table from gamma.  ``_factors`` returns the factors of
-    C_sigma at I_sigma(z): the fold numerator (plus variant only), the
-    kernels B_k, and the unreduced denominator (the factors of each b_k, and
-    the fold's).  ``value`` multiplies them over Q at gamma0; on the zero
-    shift it subtracts the identity term and adds the plus variant's
-    constant.  Where no denominator factor vanishes this is the coefficient's
-    value.  Where one does, ``_limit`` multiplies the same factors over Q[t],
-    with the inputs at gamma0 + t·v (``_over_t``, built on the first limit)
-    and z free of t, and returns their exact limit as
-    t -> 0.  The zero shift's polynomial terms are continuous, so they are
-    read at t = 0.
+    C_sigma is the fold factor (plus variant only) times the
+    nearest-neighbour product of the kernels B_k(s_k, s_{k+1}), k = 0..m
+    with s_0 = s_{m+1} = 0, over the product of the b_k^{|s_k|}, all read at
+    I_sigma(z): z_k becomes -z_k - beta_k wherever s_k = -1.
+    ``column(z)`` returns every C_sigma at one z, one column at a time, and
+    ``at(nu)`` keeps the column of the last nu, so the terms of one nu share
+    it.  With D the lcm of gamma's denominators, D·beta_k and D·fold are
+    integers, so the column is worked out in Python ints.  ``_tables``
+    gives a link table of 2D²·B_k(s, t) for s, t in {-1, 0, 1} and a
+    denominator table of 4D²·b_k^{|s|}; the fold's numerator and
+    denominator are scaled by D.  ``column`` extends every sign prefix by
+    one sign at a time, carrying its numerator and denominator products,
+    and makes one ``Rat`` per sigma, fold_num·ΠK·(4D²)^m over
+    fold_den·Πb·(2D²)^{m+1}.  On the zero shift it subtracts the identity
+    term and adds the plus variant's constant.
+
+    Where a denominator entry (a b_k or the fold's) vanishes, the
+    denominator product is 0 and ``_limit`` takes over for that sigma:
+    ``_factors`` returns the same factors unscaled, over any ring, and
+    ``_limit`` multiplies them over Q[t], with the inputs at gamma0 + t·v
+    (``_over_t``, built on the first limit) and z free of t, and returns
+    their exact limit as t -> 0.  The zero shift's polynomial terms are
+    continuous, so they are read at t = 0.
     """
 
     def __init__(self, variant: str, m: int, n: int, gamma: tuple, z_of_nu: Callable):
@@ -754,6 +797,75 @@ class _FoldedFamily:
         beta = self.beta
         self.identity_const = (beta[0] + 1) * (beta[m + 1] - 1) / 2
         self.constant = 0 if self.fold is None else n * (n + beta[m + 1] - beta[0] - 1)
+        self.unit = lcm(*(as_rat(g).denominator for g in gamma))  # D
+        self.scaled_beta = _scaled(beta, self.unit)
+        self.scaled_fold = None if self.fold is None else _scaled(self.fold, self.unit)
+        # (4D²)^m / (2D²)^(m+1) = 2^(m-1) / D²
+        self.scale = (2 ** (m - 1), self.unit ** 2)
+        self._nu = self._column = None
+
+    def at(self, nu) -> list:
+        """``column(z_of_nu(nu))``, kept for the last nu."""
+        if nu != self._nu:
+            self._column = self.column(self.z_of_nu(nu))
+            self._nu = tuple(nu)
+        return self._column
+
+    def column(self, z) -> list:
+        """C_sigma at z for every sigma, in the order of ``product((-1, 0, 1), repeat=m)``."""
+        m, D = self.m, self.unit
+        links, b_table = self._tables(z)
+        fold_num = fold_den = (1, 1, 1)
+        if self.scaled_fold is not None:
+            g1, A = self.scaled_fold
+            Z1 = D * z[0]
+            # g(nu+mu)/g(nu) is (A - z_1)/(z_1 + g_1) at s_1 = -1 and
+            # (z_1 + g_1 + 1)/(A - 1 - z_1) at s_1 = +1
+            fold_num = (A - Z1, 1, Z1 + g1 + D)
+            fold_den = (Z1 + g1, 1, A - D - Z1)
+        # the products of every sign prefix s_1..s_k, in product order, so
+        # that s_k of prefix i is i % 3 - 1
+        nums = [f * link for f, link in zip(fold_num, links[0][0])]
+        dens = [f * b for f, b in zip(fold_den, b_table[0])]
+        for k in range(1, m):
+            table, row = links[k], b_table[k]
+            nums = [p * entry for i, p in enumerate(nums) for entry in table[i % 3]]
+            dens = [q * b for q in dens for b in row]
+        last = links[m]
+        p, q = self.scale
+        column = [
+            Rat(num * last[i % 3][0] * p, den * q) if den else None
+            for i, (num, den) in enumerate(zip(nums, dens))
+        ]
+        for i, den in enumerate(dens):
+            if not den:
+                column[i] = self._limit(self._patterns[i], z)
+        zero = (len(column) - 1) // 2  # the index of sigma = (0, ..., 0)
+        top = z[m]
+        column[zero] += self.constant - top * (top + self.beta[m + 1]) - self.identity_const
+        return column
+
+    def _tables(self, z) -> tuple:
+        """(links, b_table) at z: links[k][s][t] is 2D²·B_k(s, t) and
+        b_table[k - 1][s] is 4D²·b_k^{|s|}, with s and t indexing the signs
+        (-1, 0, 1) of s_k and s_{k+1}, and only sign 0 at k = 0 and k = m + 1."""
+        m, D, a = self.m, self.unit, self.scaled_beta
+        Z = [0, *(D * zk for zk in z)]  # Z[k] = D·z_k with z_0 = 0
+        # points[k] holds D times z_k at each allowed sign, I_k(z_k) at s_k = -1
+        points = [(0,)] + [(-Z[k] - a[k], Z[k], Z[k]) for k in range(1, m + 1)] + [(Z[m + 1],)]
+        signs = [(0,)] + [(-1, 0, 1)] * m + [(0,)]
+        links = [
+            [[_link(s, t, P, Q, a[k], a[k + 1], D) for t, Q in zip(signs[k + 1], points[k + 1])]
+             for s, P in zip(signs[k], points[k])]
+            for k in range(m + 1)
+        ]
+        b_table = [[_b_entry(s, P, a[k], D) for s, P in zip(signs[k], points[k])] for k in range(1, m + 1)]
+        return links, b_table
+
+    @cached_property
+    def _patterns(self) -> list:
+        """sigma at each index of a column, built on the first limit."""
+        return list(product((-1, 0, 1), repeat=self.m))
 
     def _factors(self, sigma, z, beta, fold, b_factors) -> tuple:
         """(fold numerator, kernels, denominator factors) of C_sigma at z, the
@@ -780,25 +892,6 @@ class _FoldedFamily:
                 den.append(z1 + g1)
         return fold_num, map(_kernel, bits, bits[1:], zs, zs[1:], beta, beta[1:]), den
 
-    def value(self, sigma, z) -> Rat:
-        """C_sigma at z from the product form, or its limit along gamma0 + t·v."""
-        fold_num, kernels, den = self._factors(sigma, z, self.beta, self.fold, self.b_factors)
-        if 0 in den:
-            value = self._limit(sigma, z)
-        else:
-            value = as_rat(fold_num)
-            for kernel in kernels:
-                value *= kernel
-                if value == 0:
-                    break
-            else:
-                value /= prod(den)
-        if not any(sigma):
-            last = z[self.m]
-            value -= last * (last + self.beta[self.m + 1]) + self.identity_const
-            value += self.constant
-        return value
-
     @cached_property
     def _over_t(self) -> tuple:
         """``_family_inputs`` over Q[t] at gamma0 + t·v, built on the first limit."""
@@ -813,14 +906,16 @@ class _FoldedFamily:
 
 
 class ZMappedCoefficient:
-    """One general-family coefficient read through a nu -> z change of variables."""
+    """One general-family coefficient read through a nu -> z change of variables:
+    entry ``index`` of its family's column at z(nu)."""
 
     def __init__(self, family: _FoldedFamily, sigma: tuple):
         self.family = family
         self.sigma = sigma
+        self.index = sum((s + 1) * 3 ** l for l, s in enumerate(reversed(sigma)))
 
     def eval(self, nu) -> Rat:
-        return self.family.value(self.sigma, self.family.z_of_nu(nu))
+        return self.family.at(nu)[self.index]
 
 
 def predicted_m_action(variant: str, j: int, n: int, d: int, gamma) -> RacahOp:

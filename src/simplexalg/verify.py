@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 
 from .diffops import DiffOp, commutator, f_combination, jm_relations
 from .diffops import l_operator, m_operator, m_pairs, pair_counts
-from .errors import DegenerateParameter, ExactAlgebraError, InvariantViolation
+from .errors import DegenerateParameter, ExactAlgebraError, InvariantViolation, RangeEscape
 from .jacobi import graded_indices, jacobi_simplex, level_indices, lex_lead
 from .linalg import ExactMatrix, SpanBasis
 from .params import ParamVector, require_valid
@@ -364,6 +364,8 @@ def verify_difference_action(ctx: ModuleContext) -> CheckResult:
         except DegenerateParameter as exc:
             degenerate.append(f"{label}: {exc}")
             continue
+        except RangeEscape as exc:
+            return CheckResult("racah", "fail", f"{label}: {exc}")
         if ctx.m_matrix(j, variant) != racah_matrix:
             return CheckResult("racah", "fail", f"{label} matrices differ on level {ctx.n}")
     if degenerate:

@@ -646,6 +646,30 @@ def folded_fractions(family) -> dict:
     return folded
 
 
+def folded_value(family, sigma, z) -> Rat:
+    """C_sigma at z for the family of one predicted M_j action, from its
+    product form over Q one sigma at a time: the fold numerator times the
+    kernels over the unreduced denominator, or ``family._limit`` where a
+    denominator factor vanishes; on the zero shift, minus the identity term
+    plus the plus variant's constant."""
+    fold_num, kernels, den = family._factors(sigma, z, family.beta, family.fold, family.b_factors)
+    if 0 in den:
+        value = family._limit(sigma, z)
+    else:
+        value = as_rat(fold_num)
+        for kernel in kernels:
+            value *= kernel
+            if value == 0:
+                break
+        else:
+            value /= prod(den)
+    if not any(sigma):
+        last = z[family.m]
+        value -= last * (last + family.beta[family.m + 1]) + family.identity_const
+        value += family.constant
+    return value
+
+
 # -- printed Racah coefficients, numerator-first -----------------------------
 
 

@@ -1,14 +1,19 @@
+import os
+import random
+import subprocess
+import sys
+from itertools import product
 from math import prod
+from pathlib import Path
 
 import pytest
-
-import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     folded_fractions,
+    folded_value,
     fraction_value,
     fractions_equal,
     involution_image,
@@ -39,10 +44,12 @@ from simplexalg.racah import (
     predicted_m_action,
     racah_coefficient,
     _b_denominator,
+    _b_entry,
     _kernel,
+    _link,
 )
 from simplexalg.scalar import Rat
-from simplexalg.verify import ModuleContext, run_suites
+from simplexalg.verify import ModuleContext, run_suites, verify_difference_action
 
 G0_2 = ParamVector([0, 0, 0])
 G0_3 = ParamVector([0, 0, 0, 0])
@@ -566,6 +573,136 @@ def test_generic_cells_never_take_the_limit(monkeypatch):
             for _, _, op in _general_ops(n, gamma):
                 op.matrix_on_level(n)
     assert limits == []
+
+
+# -- the column evaluator ----------------------------------------------------
+
+
+def test_integer_tables_are_the_scaled_kernels_and_denominators():
+    rng = random.Random(5)
+    for _ in range(200):
+        D = rng.randint(1, 60)
+        P, Q, a, b = (rng.randint(-50, 50) for _ in range(4))
+        x, y = Rat(P, D), Rat(Q, D)
+        beta = [Rat(0), Rat(a, D), Rat(b, D)]
+        for s, t in product((-1, 0, 1), repeat=2):
+            kernel = _kernel(abs(s), abs(t), x, y, beta[1], beta[2])
+            assert _link(s, t, P, Q, a, b, D) == 2 * D * D * kernel, (D, P, Q, a, b, s, t)
+        for s in (-1, 0, 1):
+            assert _b_entry(s, P, a, D) == 4 * D * D * _b_value(1, abs(s), x, beta), (D, P, a, s)
+
+
+def _column_cells():
+    cells = []
+    for d in range(2, 8):
+        for gamma in sample_valid_gammas(40 + d, d, 1):
+            cells.append(pytest.param(gamma, range(3) if d >= 6 else range(4), id=f"seeded-d{d}"))
+    for gamma in (G0_2, G0_3) + FAULT_GAMMAS + LIMIT_GAMMAS_4:
+        cells.append(pytest.param(gamma, range(4), id=",".join(gamma.to_json())))
+    return cells
+
+
+@pytest.mark.parametrize("gamma, levels", _column_cells())
+def test_column_agrees_with_the_per_sigma_oracle(gamma, levels, monkeypatch):
+    """Every C_sigma of every R+/-:j column equals the per-sigma product
+    form, the limits included, and the column takes its limits at exactly
+    the (sigma, z) pairs where the oracle does.  Both reach a limit through
+    the same ``_limit``, so the oracle reuses the column's value there (the
+    limits themselves are checked against the differential matrices)."""
+    calls = {"column": [], "oracle": []}
+    source = "column"
+    limit = racah._FoldedFamily._limit
+    taken = {}
+
+    def counted(family, sigma, z):
+        calls[source].append((sigma, z))
+        key = (id(family), sigma, z)
+        if key not in taken:
+            taken[key] = limit(family, sigma, z)
+        return taken[key]
+
+    monkeypatch.setattr(racah._FoldedFamily, "_limit", counted)
+    for n in levels:
+        for j, variant, op in _general_ops(n, gamma):
+            family = op.terms[0].coef.family  # one family per op
+            patterns = list(product((-1, 0, 1), repeat=family.m))
+            for z in dict.fromkeys(map(family.z_of_nu, level_indices(n, gamma.d))):
+                source = "column"
+                column = family.column(z)
+                source = "oracle"
+                expected = [folded_value(family, sigma, z) for sigma in patterns]
+                assert column == expected, (op.name, n, z)
+    assert calls["column"] == calls["oracle"]
+    if gamma in (G0_2, G0_3) + FAULT_GAMMAS + LIMIT_GAMMAS_4:
+        assert calls["column"]
+
+
+@pytest.mark.parametrize(
+    "gamma", [G_3, sample_valid_gammas(55, 5, 1)[0]], ids=["G_3", "seeded-d5"]
+)
+def test_column_table_mutants_fail_the_racah_check(gamma, monkeypatch):
+    ctx = ModuleContext(gamma.d, 2, gamma)
+    assert verify_difference_action(ctx).status == "pass"
+    link = racah._link
+
+    def without_d(s, t, P, Q, a, b, D):
+        # the (1,1) entry 2(Q+P+b)(Q+P+b+D) without its + D
+        value = link(s, t, P, Q, a, b, D)
+        return value - 2 * (Q + P + b) * D if s and t else value
+
+    with monkeypatch.context() as patch:
+        patch.setattr(racah, "_link", without_d)
+        assert verify_difference_action(ctx).status == "fail"
+    tables = racah._FoldedFamily._tables
+
+    def perturbed(family, z):
+        links, b_table = tables(family, z)
+        b_table[0][2] += 1  # 4D²·b_1^1 at s_1 = +1
+        return links, b_table
+
+    with monkeypatch.context() as patch:
+        patch.setattr(racah._FoldedFamily, "_tables", perturbed)
+        assert verify_difference_action(ctx).status == "fail"
+    assert verify_difference_action(ctx).status == "pass"
+
+
+# beta shifted by 1/11, which no multiple of gamma's denominators (lcm 210)
+# makes integral; run as a script, so that it runs under python -O too
+SCALING_PROBE = """
+from simplexalg import racah
+from simplexalg.errors import InvariantViolation
+from simplexalg.params import ParamVector
+from simplexalg.scalar import Rat
+
+beta_maps = racah._beta_maps
+racah._beta_maps = lambda g, n, d: [[b + Rat(1, 11) for b in beta] for beta in beta_maps(g, n, d)]
+try:
+    racah.predicted_m_action("plus", 2, 1, 3, ParamVector.parse("1/2,1/3,1/5,1/7"))
+except InvariantViolation as exc:
+    print("raises", exc)
+else:
+    print("returns")
+finally:
+    racah._beta_maps = beta_maps
+"""
+
+
+def test_non_integral_scaling_raises(capsys):
+    beta_maps = racah._beta_maps
+    exec(SCALING_PROBE, {})
+    assert capsys.readouterr().out.startswith("raises 210·")
+    assert racah._beta_maps is beta_maps
+
+
+def test_non_integral_scaling_raises_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", SCALING_PROBE],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("raises 210·")
 
 
 @settings(max_examples=100, deadline=None)
