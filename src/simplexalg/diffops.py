@@ -6,13 +6,14 @@ positive integer ``den`` and integer numerators ``nums``, a map from packed
 derivative keys to maps from packed exponent keys to nonzero ints, so the
 coefficient of x^e d^alpha is nums[alpha][e] / den.  A vector (v_1..v_d) of
 exponents or derivative orders packs into one int with 8 bits per entry,
-v_1 in the lowest byte, so adding exponents is one integer addition; an
-entry above 255 raises ``PackingOverflow`` before any key is formed.  The
-form is canonical (no zero numerators, gcd(den, every numerator) = 1), so
-equality of operators is equality of data, and sums, scalings, compositions
-and actions on polynomials run on ints with one ``Rat`` per coefficient
-only where a result leaves the integers: ``apply`` and the read-only
-``terms`` view {derivative tuple: MultiPoly}.
+v_1 in the lowest byte, as the exponents of a ``MultiPoly`` do (the packing
+lives in ``poly``), so adding exponents is one integer addition; an entry
+above 255 raises ``PackingOverflow`` before any key is formed.  The form is
+canonical (no zero numerators, gcd(den, every numerator) = 1), so equality
+of operators is equality of data, and sums, scalings, compositions and
+actions on polynomials run on ints: ``apply`` takes and returns the integer
+form of ``MultiPoly``, and the read-only ``terms`` view {derivative tuple:
+MultiPoly} is built on first read.
 
 The generators are
 
@@ -38,27 +39,10 @@ from math import comb, gcd, lcm, perm, prod
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import DimensionMismatch, PackingOverflow
+from .errors import DimensionMismatch
 from .params import require_valid
-from .poly import MultiPoly
-from .scalar import Rat, as_rat
-
-#: The largest exponent or derivative order a packed key holds (8 bits).
-FIELD_MAX = 255
-
-
-def _pack(vector) -> int:
-    """One int for a vector of entries in 0..FIELD_MAX, entry k in byte k."""
-    return int.from_bytes(bytes(vector), "little")
-
-
-def _unpack(key: int, dim: int) -> tuple:
-    return tuple(key.to_bytes(dim, "little"))
-
-
-def _check_fields(top: int, what: str):
-    if top > FIELD_MAX:
-        raise PackingOverflow(f"{what} reaches {top}, above the packed field's {FIELD_MAX}")
+from .poly import FIELD_MAX, MultiPoly, _check_fields, _degrees, _pack, _unpack
+from .scalar import as_rat
 
 
 def _derive(nums: dict, delta: tuple) -> list:
@@ -137,14 +121,14 @@ class DiffOp:
             if coefficient.dim != dim:
                 raise DimensionMismatch("coefficient dimension mismatch")
             if not coefficient.is_zero():
-                coefficients[deriv] = coefficient.terms
-        top = max(chain.from_iterable(chain(coefficients, *coefficients.values())), default=0)
+                coefficients[deriv] = coefficient
+        top = max(chain.from_iterable(coefficients), default=0)
         _check_fields(top, "an exponent or derivative order")
-        den = lcm(*(c.denominator for poly in coefficients.values() for c in poly.values()))
+        exponents = (_degrees(poly.nums, dim) for poly in coefficients.values())
+        top = max(chain([top], *exponents))
+        den = lcm(*(poly.den for poly in coefficients.values()))
         nums = {
-            _pack(deriv): {
-                _pack(e): c.numerator * (den // c.denominator) for e, c in poly.items()
-            }
+            _pack(deriv): {e: n * (den // poly.den) for e, n in poly.nums.items()}
             for deriv, poly in coefficients.items()
         }
         self._set(dim, den, nums, top)
@@ -181,11 +165,9 @@ class DiffOp:
     def terms(self) -> Mapping:
         """Read-only {derivative tuple: MultiPoly}, built on first read."""
         if self._terms is None:
-            dim, den = self.dim, self.den
+            dim, den, top = self.dim, self.den, self.top
             view = {
-                _unpack(alpha, dim): MultiPoly._raw(
-                    dim, {_unpack(e, dim): Rat(n, den) for e, n in m.items()}
-                )
+                _unpack(alpha, dim): MultiPoly._canonical(dim, den, dict(m), top)
                 for alpha, m in self.nums.items()
             }
             object.__setattr__(self, "_terms", MappingProxyType(view))
@@ -256,26 +238,19 @@ class DiffOp:
         return DiffOp._canonical(self.dim, self.den * other.den, out, top)
 
     def apply(self, poly: MultiPoly) -> MultiPoly:
-        """The polynomial self(poly): poly's numerators over the lcm of its
-        denominators, differentiated by falling factorials and multiplied by
-        the operator's numerators, with one ``Rat`` per output term."""
+        """The polynomial self(poly): poly's integer numerators differentiated
+        by falling factorials and multiplied by the operator's, over
+        den(self) * den(poly); no ``Rat`` is made."""
         if poly.dim != self.dim:
             raise DimensionMismatch(f"operator dim {self.dim}, polynomial dim {poly.dim}")
         dim = self.dim
-        _check_fields(
-            self.top + max(chain.from_iterable(poly.terms), default=0),
-            "an exponent of the image",
-        )
-        den = lcm(*(c.denominator for c in poly.terms.values()))
-        numerators = {
-            int.from_bytes(bytes(e), "little"): c.numerator * (den // c.denominator)
-            for e, c in poly.terms.items()
-        }
-        den *= self.den
-        image = _leibniz(self.nums, {0: numerators}, dim, full=False).get(0, {})
-        return MultiPoly._raw(
-            dim, {tuple(e.to_bytes(dim, "little")): Rat(n, den) for e, n in image.items() if n}
-        )
+        top = self.top + poly.top
+        if top > FIELD_MAX:
+            top = self.top + max(_degrees(poly.nums, dim), default=0)
+            _check_fields(top, "an exponent of the image")
+        image = _leibniz(self.nums, {0: poly.nums}, dim, full=False).get(0, {})
+        nums = {e: n for e, n in image.items() if n}
+        return MultiPoly._canonical(dim, self.den * poly.den, nums, top)
 
     def __repr__(self) -> str:
         if not self.nums:

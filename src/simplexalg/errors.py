@@ -49,5 +49,5 @@ class InvariantViolation(ExactAlgebraError):
 
 
 class PackingOverflow(ExactAlgebraError):
-    """An exponent or derivative order of a differential operator would not
-    fit the bit field of its packed key."""
+    """An exponent of a polynomial, or an exponent or derivative order of a
+    differential operator, would not fit the bit field of its packed key."""

@@ -16,7 +16,9 @@ family attached to gamma = (gamma_1..gamma_{d+1}) is the product
 where |x_{<k}| = x_1+...+x_{k-1}.  Each factor is expanded directly into a
 polynomial: with s = 1-|x_{<k}|, the composite s^n p_n(2x_k/s - 1) equals
 lead * sum_k c_k s^(n-k) (s-x_k)^k, so no rational-function intermediate is
-ever formed.
+ever formed.  The factor is summed on integers, c_k times the lcm of the
+c_k's denominators, so P_nu comes out as integer numerators over one
+denominator, the form of ``MultiPoly``.
 
 Degree indices nu with |nu| = n are enumerated in descending lexicographic
 order ((n,0,...,0) first); this fixed order is used everywhere a basis of the
@@ -24,17 +26,18 @@ degree-n space appears.
 
 The top-degree part of P_nu is c x^nu plus lex-greater monomials of degree
 |nu| (``lex_lead``).  The family is therefore triangular against the
-monomials, which is what makes it a basis and lets an expansion in it run by
-forward substitution.
+monomials, which is what makes it a basis and lets the expansion of every
+monomial in it be built one monomial at a time (``verify.ModuleContext``).
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence
 
 from .errors import InvalidParameter, InvariantViolation
 from .params import ParamVector, check_jacobi_params, require_valid
-from .poly import MultiPoly
+from .poly import MultiPoly, _pack, _unpack
 from .scalar import Rat, as_rat, pochhammer
 
 DegreeIndex = "tuple[int, ...]"
@@ -77,16 +80,19 @@ def jacobi_simplex(nu: Sequence[int], gamma) -> MultiPoly:
             raise InvalidParameter(f"factor {k}: " + "; ".join(violations))
         if n_k == 0:
             continue
-        # s = 1 - x_1 - ... - x_{k-1}; factor = sum_i c_i s^(n_k-i) (s - x_k)^i
+        # s = 1 - x_1 - ... - x_{k-1}; factor = sum_i c_i s^(n_k-i) (s - x_k)^i,
+        # summed on the integers c_i·q over q, the lcm of the c_i's denominators
+        coeffs = jacobi1d_coeffs(n_k, alpha, beta)
+        q = lcm(*(c.denominator for c in coeffs))
         s = MultiPoly.const(d, 1)
         for i in range(k - 1):
             s = s - MultiPoly.variable(d, i)
         s_minus_x = s - MultiPoly.variable(d, k - 1)
-        coeffs = jacobi1d_coeffs(n_k, alpha, beta)
         factor = MultiPoly.zero(d)
         for i, c in enumerate(coeffs):
-            factor = factor + (s ** (n_k - i) * s_minus_x ** i).scale(c)
-        result = result * factor
+            term = s ** (n_k - i) * s_minus_x ** i
+            factor = factor + term.scale(c.numerator * (q // c.denominator))
+        result = result * factor.scale(Rat(1, q))
     return result
 
 
@@ -95,9 +101,10 @@ def lex_lead(nu: Sequence[int], poly: MultiPoly) -> Rat:
     triangular fact: x^nu is the lex-smallest monomial of top degree |nu|."""
     nu = tuple(nu)
     degree = sum(nu)
-    if poly.total_degree() != degree or min(e for e in poly.terms if sum(e) == degree) != nu:
+    exponents = [_unpack(e, poly.dim) for e in poly.nums]
+    if poly.total_degree() != degree or min(e for e in exponents if sum(e) == degree) != nu:
         raise InvariantViolation(f"P_{nu} does not lead with x^{nu} in lex order")
-    return poly.terms[nu]
+    return Rat(poly.nums[_pack(nu)], poly.den)
 
 
 def level_indices(n: int, d: int) -> list:

@@ -52,14 +52,6 @@ class ExactMatrix:
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence]) -> "ExactMatrix":
-        cols = [list(c) for c in columns]
-        if not cols:
-            return cls([])
-        rows = len(cols[0])
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(rows)])
-
     # -- basics -----------------------------------------------------------
 
     def __getitem__(self, rc):

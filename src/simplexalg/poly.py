@@ -1,9 +1,15 @@
-"""Sparse multivariate polynomials over the exact rationals.
+"""Sparse multivariate polynomials over the exact rationals, kept fraction-free.
 
-A polynomial in ``d`` variables is a map from exponent tuples (length ``d``,
-nonnegative ints) to nonzero rational coefficients.  The zero polynomial has
-an empty term map.  All arithmetic is exact and results are always canonical
-(no stored zero coefficients).
+A polynomial in ``d`` variables is one positive integer ``den`` and integer
+numerators ``nums``, a map from packed exponent keys to nonzero ints, so the
+coefficient of x^e is nums[e] / den.  An exponent vector (e_1..e_d) packs
+into one int with 8 bits per entry, e_1 in the lowest byte, so multiplying
+two monomials is one integer addition; an entry above ``FIELD_MAX`` raises
+``PackingOverflow`` before any key is formed.  The form is canonical (no
+zero numerators, gcd(den, every numerator) = 1, den = 1 for the zero
+polynomial), so equality of polynomials is equality of data, and all
+arithmetic runs on ints.  ``terms``, the same polynomial as a read-only map
+{exponent tuple: Rat}, is built on first read.
 
 Terms print in graded lexicographic order: higher total degree first, ties
 broken by the larger exponent tuple.
@@ -11,33 +17,74 @@ broken by the larger exponent tuple.
 
 from __future__ import annotations
 
-from math import comb
+from itertools import chain
+from math import comb, gcd, lcm, perm
+from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import DimensionMismatch
-from .scalar import ONE, as_rat, rat_str
+from .errors import DimensionMismatch, PackingOverflow
+from .scalar import ONE, Rat, as_rat, rat_str
 
 Exponent = "tuple[int, ...]"
 
+#: The largest exponent or derivative order a packed key holds (8 bits).
+FIELD_MAX = 255
+
+
+def _pack(vector) -> int:
+    """One int for a vector of entries in 0..FIELD_MAX, entry k in byte k."""
+    return int.from_bytes(bytes(vector), "little")
+
+
+def _unpack(key: int, dim: int) -> tuple:
+    return tuple(key.to_bytes(dim, "little"))
+
+
+def _check_fields(top: int, what: str):
+    if top > FIELD_MAX:
+        raise PackingOverflow(f"{what} reaches {top}, above the packed field's {FIELD_MAX}")
+
+
+def _degrees(keys, dim: int) -> tuple:
+    """The largest entry of each variable over the packed ``keys``; () for none."""
+    return tuple(map(max, zip(*(key.to_bytes(dim, "little") for key in keys))))
+
 
 class MultiPoly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients, kept as
+    integer numerators over one denominator (see the module docstring).
 
-    __slots__ = ("dim", "terms")
+    ``MultiPoly(dim, {exponent tuple: scalar})`` validates and packs.
+    ``top`` bounds every entry of every exponent vector, so a product whose
+    entries could leave the packed field is checked before it is formed."""
+
+    __slots__ = ("dim", "den", "nums", "top", "_terms")
 
     def __init__(self, dim: int, terms: Mapping = ()):
         if dim < 0:
             raise ValueError("dim must be >= 0")
-        canonical = {}
+        coefficients = {}
         for exponent, coefficient in dict(terms).items():
             exponent = tuple(int(e) for e in exponent)
             if len(exponent) != dim or any(e < 0 for e in exponent):
                 raise ValueError(f"bad exponent {exponent} for dim {dim}")
             coefficient = as_rat(coefficient)
             if coefficient != 0:
-                canonical[exponent] = coefficient
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", canonical)
+                coefficients[exponent] = coefficient
+        top = max(chain.from_iterable(coefficients), default=0)
+        _check_fields(top, "an exponent")
+        den = lcm(*(c.denominator for c in coefficients.values()))
+        nums = {_pack(e): c.numerator * (den // c.denominator) for e, c in coefficients.items()}
+        self._set(dim, den, nums, top)
+
+    def _set(self, dim: int, den: int, nums: dict, top: int):
+        setter = object.__setattr__
+        setter(self, "dim", dim)
+        setter(self, "den", den)
+        setter(self, "nums", nums)
+        setter(self, "top", top)
+        setter(self, "_terms", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -45,20 +92,35 @@ class MultiPoly:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _raw(cls, dim: int, terms: dict) -> "MultiPoly":
-        """Trusted constructor: ``terms`` is already canonical (internal use)."""
+    def _raw(cls, dim: int, den: int, nums: dict, top: int) -> "MultiPoly":
+        """Trusted constructor: (den, nums) is already canonical (internal use)."""
         self = object.__new__(cls)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", terms)
+        self._set(dim, den, nums, top)
         return self
 
     @classmethod
+    def _canonical(cls, dim: int, den: int, nums: dict, top: int) -> "MultiPoly":
+        """Trusted constructor: ``den`` > 0 and ``nums`` holds no zero; the
+        content shared with ``den`` is divided out."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {e: n // g for e, n in nums.items()}
+        return cls._raw(dim, den, nums, top)
+
+    @classmethod
     def zero(cls, dim: int) -> "MultiPoly":
-        return cls._raw(dim, {})
+        return cls._raw(dim, 1, {}, 0)
 
     @classmethod
     def const(cls, dim: int, value) -> "MultiPoly":
-        return cls(dim, {(0,) * dim: as_rat(value)})
+        value = as_rat(value)
+        if dim < 0:
+            raise ValueError("dim must be >= 0")
+        if not value:
+            return cls.zero(dim)
+        return cls._raw(dim, value.denominator, {0: value.numerator}, 0)
 
     @classmethod
     def variable(cls, dim: int, index: int) -> "MultiPoly":
@@ -75,25 +137,38 @@ class MultiPoly:
 
     # -- queries ----------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping:
+        """Read-only {exponent tuple: Rat}, built on first read."""
+        if self._terms is None:
+            dim, den = self.dim, self.den
+            view = {_unpack(e, dim): Rat(n, den) for e, n in self.nums.items()}
+            object.__setattr__(self, "_terms", MappingProxyType(view))
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def total_degree(self) -> int:
         """Max |exponent| over stored terms; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        dim = self.dim
+        return max((sum(e.to_bytes(dim, "little")) for e in self.nums), default=-1)
+
+    def min_degree(self) -> int:
+        """Min |exponent| over stored terms; -1 for the zero polynomial."""
+        dim = self.dim
+        return min((sum(e.to_bytes(dim, "little")) for e in self.nums), default=-1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return self.dim == other.dim and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
+        return hash((self.dim, self.den, frozenset(self.nums.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -101,28 +176,33 @@ class MultiPoly:
         if self.dim != other.dim:
             raise DimensionMismatch(f"polynomials in {self.dim} and {other.dim} variables")
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "MultiPoly":
+        """self + sign * other over lcm(self.den, other.den)."""
         if not isinstance(other, MultiPoly):
             other = MultiPoly.const(self.dim, other)
         self._check_dim(other)
-        out = dict(self.terms)
-        for exponent, coefficient in other.terms.items():
-            value = out.get(exponent, 0) + coefficient
-            if value == 0:
-                out.pop(exponent, None)
+        den = lcm(self.den, other.den)
+        mine, theirs = den // self.den, sign * (den // other.den)
+        out = {e: n * mine for e, n in self.nums.items()} if mine != 1 else dict(self.nums)
+        get = out.get
+        for e, n in other.nums.items():
+            total = get(e, 0) + n * theirs
+            if total:
+                out[e] = total
             else:
-                out[exponent] = value
-        return MultiPoly._raw(self.dim, out)
+                del out[e]
+        return MultiPoly._canonical(self.dim, den, out, max(self.top, other.top))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._raw(self.dim, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._raw(self.dim, self.den, {e: -n for e, n in self.nums.items()}, self.top)
 
     def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.dim, other)
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -131,23 +211,61 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check_dim(other)
+        top = self._product_top(other)
         out: dict = {}
         get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exponent = tuple(a + b for a, b in zip(e1, e2))
-                out[exponent] = get(exponent, 0) + c1 * c2
-        for exponent in [e for e, c in out.items() if c == 0]:
-            del out[exponent]
-        return MultiPoly._raw(self.dim, out)
+        theirs = list(other.nums.items())
+        for e1, n1 in self.nums.items():
+            for e2, n2 in theirs:
+                key = e1 + e2
+                out[key] = get(key, 0) + n1 * n2
+        nums = {e: n for e, n in out.items() if n}
+        return MultiPoly._canonical(self.dim, self.den * other.den, nums, top)
 
     __rmul__ = __mul__
+
+    def _product_top(self, other: "MultiPoly") -> int:
+        """A bound on every exponent entry of self * other; PackingOverflow
+        where an entry would leave the packed field."""
+        top = self.top + other.top
+        if top > FIELD_MAX:
+            # the tops only bound the entries; the degrees in each variable are exact
+            degrees = map(add, _degrees(self.nums, self.dim), _degrees(other.nums, self.dim))
+            top = max(degrees, default=0)
+            _check_fields(top, "an exponent of the product")
+        return top
+
+    def _graded_items(self) -> list:
+        """(key, numerator, total degree) of every term."""
+        dim = self.dim
+        return [(e, n, sum(e.to_bytes(dim, "little"))) for e, n in self.nums.items()]
+
+    def mul_truncated(self, other, degree: int) -> "MultiPoly":
+        """The terms of self * other of total degree at most ``degree``; no
+        term above it is formed."""
+        if not isinstance(other, MultiPoly):
+            other = MultiPoly.const(self.dim, other)
+        self._check_dim(other)
+        top = self._product_top(other)
+        out: dict = {}
+        get = out.get
+        theirs = other._graded_items()
+        for e1, n1, d1 in self._graded_items():
+            room = degree - d1
+            for e2, n2, d2 in theirs:
+                if d2 <= room:
+                    key = e1 + e2
+                    out[key] = get(key, 0) + n1 * n2
+        nums = {e: n for e, n in out.items() if n}
+        return MultiPoly._canonical(self.dim, self.den * other.den, nums, top)
 
     def scale(self, value) -> "MultiPoly":
         value = as_rat(value)
         if value == 0:
             return MultiPoly.zero(self.dim)
-        return MultiPoly._raw(self.dim, {e: c * value for e, c in self.terms.items()})
+        factor = value.numerator
+        nums = {e: n * factor for e, n in self.nums.items()}
+        return MultiPoly._canonical(self.dim, self.den * value.denominator, nums, self.top)
 
     def __truediv__(self, value) -> "MultiPoly":
         """Division by a nonzero scalar."""
@@ -168,87 +286,75 @@ class MultiPoly:
 
     # -- calculus and substitution ----------------------------------------
 
+    def _field(self, index: int) -> int:
+        """The bit offset of the exponent of x_{index+1} in a packed key."""
+        if not 0 <= index < self.dim:
+            raise ValueError(f"variable index {index} out of range for dim {self.dim}")
+        return 8 * index
+
     def deriv(self, index: int, order: int = 1) -> "MultiPoly":
-        """Partial derivative d^order / dx_{index+1}^order."""
+        """Partial derivative d^order / dx_{index+1}^order, by falling factorials."""
         if order < 0:
             raise ValueError("order must be >= 0")
-        poly = self
-        for _ in range(order):
-            out = {}
-            for exponent, coefficient in poly.terms.items():
-                e = exponent[index]
-                if e == 0:
-                    continue
-                new_exp = exponent[:index] + (e - 1,) + exponent[index + 1 :]
-                out[new_exp] = out.get(new_exp, 0) + coefficient * e
-            poly = MultiPoly._raw(self.dim, out)
-        return poly
+        bit = self._field(index)
+        if not order:
+            return self
+        step = order << bit
+        nums = {
+            e - step: n * w for e, n in self.nums.items() if (w := perm((e >> bit) & FIELD_MAX, order))
+        }
+        return MultiPoly._canonical(self.dim, self.den, nums, self.top)
 
     def subs_var(self, index: int, replacement: "MultiPoly") -> "MultiPoly":
         """Substitute a polynomial for the variable x_{index+1} (same dim)."""
         self._check_dim(replacement)
-        powers = {0: MultiPoly.const(self.dim, 1)}
-
-        def power(n: int) -> "MultiPoly":
-            if n not in powers:
-                powers[n] = power(n - 1) * replacement
-            return powers[n]
-
-        out: dict = {}
-        get = out.get
-        for exponent, coefficient in self.terms.items():
-            e = exponent[index]
-            rest = exponent[:index] + (0,) + exponent[index + 1 :]
-            for p_exp, p_coef in power(e).terms.items():
-                new_exp = tuple(a + b for a, b in zip(rest, p_exp))
-                out[new_exp] = get(new_exp, 0) + coefficient * p_coef
-        for exponent in [e for e, c in out.items() if c == 0]:
-            del out[exponent]
-        return MultiPoly._raw(self.dim, out)
+        bit = self._field(index)
+        by_power: dict = {}
+        for e, n in self.nums.items():
+            p = (e >> bit) & FIELD_MAX
+            by_power.setdefault(p, {})[e - (p << bit)] = n
+        result = MultiPoly.zero(self.dim)
+        power = MultiPoly.const(self.dim, 1)
+        for p in range(max(by_power, default=-1) + 1):
+            if p in by_power:
+                rest = MultiPoly._canonical(self.dim, self.den, by_power[p], self.top)
+                result = result + rest * power
+            power = power * replacement
+        return result
 
     def subs_affine(self, index: int, a, b) -> "MultiPoly":
-        """Substitute x_{index+1} -> a*x_{index+1} + b (exact, O(terms*degree))."""
+        """Substitute x_{index+1} -> a*x_{index+1} + b (exact, O(terms*degree)).
+
+        With a = A/q and b = B/q over q = den(a)·den(b), every term is put
+        over q^top, top the largest power of x_{index+1}:
+        (a x + b)^p = sum_i C(p,i) A^i B^(p-i) x^i q^(top-p) / q^top."""
         a, b = as_rat(a), as_rat(b)
+        bit = self._field(index)
+        q = a.denominator * b.denominator
+        A, B = a.numerator * b.denominator, b.numerator * a.denominator
+        top = max(((e >> bit) & FIELD_MAX for e in self.nums), default=0)
+        rows: dict = {}
         out: dict = {}
         get = out.get
-        binom_rows: dict = {}
-        for exponent, coefficient in self.terms.items():
-            p = exponent[index]
-            if p == 0:
-                out[exponent] = get(exponent, 0) + coefficient
-                continue
-            row = binom_rows.get(p)
+        for e, n in self.nums.items():
+            p = (e >> bit) & FIELD_MAX
+            row = rows.get(p)
             if row is None:
-                # (a x + b)^p = sum_i C(p,i) a^i b^(p-i) x^i
-                row = [as_rat(comb(p, i)) * a ** i * b ** (p - i) for i in range(p + 1)]
-                binom_rows[p] = row
-            for i, factor in enumerate(row):
-                if factor == 0:
-                    continue
-                new_exp = exponent[:index] + (i,) + exponent[index + 1 :]
-                out[new_exp] = get(new_exp, 0) + coefficient * factor
-        for exponent in [e for e, c in out.items() if c == 0]:
-            del out[exponent]
-        return MultiPoly._raw(self.dim, out)
+                row = rows[p] = [comb(p, i) * A**i * B ** (p - i) * q ** (top - p) for i in range(p + 1)]
+            rest = e - (p << bit)
+            for i, w in enumerate(row):
+                if w:
+                    key = rest + (i << bit)
+                    out[key] = get(key, 0) + n * w
+        nums = {e: n for e, n in out.items() if n}
+        return MultiPoly._canonical(self.dim, self.den * q**top, nums, self.top)
 
     def subs_value(self, index: int, value) -> "MultiPoly":
         """Substitute a constant for x_{index+1} (result keeps the same dim)."""
-        value = as_rat(value)
-        out: dict = {}
-        get = out.get
-        for exponent, coefficient in self.terms.items():
-            p = exponent[index]
-            factor = coefficient if p == 0 else coefficient * value ** p
-            if factor == 0:
-                continue
-            new_exp = exponent[:index] + (0,) + exponent[index + 1 :]
-            out[new_exp] = get(new_exp, 0) + factor
-        for exponent in [e for e, c in out.items() if c == 0]:
-            del out[exponent]
-        return MultiPoly._raw(self.dim, out)
+        return self.subs_affine(index, 0, value)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         terms = sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)

@@ -1,11 +1,14 @@
 """Exact matrix representations and the identity-verification suites.
 
 ``ModuleContext`` fixes a cell (d, n, gamma) and caches the graded family
-{P_mu : |mu| <= n} with the coefficient c of x^mu in each member.  The
-top-degree part of P_mu is c x^mu plus lex-greater monomials, so an operator
-image expands in the P basis by forward substitution: one degree at a time
-from the top, ascending lex within a degree, each coefficient read off a
-single monomial of the remainder.  ``ModuleContext.matrix_of`` returns the
+{P_mu : |mu| <= n} and its integer inverse: the expansion of every monomial
+x^alpha, |alpha| <= n, in the family, as integer numerators over one
+denominator per row mu.  The top-degree part of P_mu is c x^mu plus
+lex-greater monomials, so that inverse is built one monomial at a time in
+graded order, each from P_alpha and the monomials before it, and checked
+once: every P_mu must expand to its unit vector.  An operator image then
+expands by one integer dot product per row, with one ``Rat`` per nonzero
+coefficient.  ``ModuleContext.matrix_of`` returns the
 square block of a differential operator on the top level {|nu| = n}; it
 expands against the *full* graded family and raises if anything leaks into
 lower degrees, turning invariance of the degree-n span into a tested
@@ -41,7 +44,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 from typing import Callable, Sequence
 
 from .diffops import DiffOp, commutator, f_combination, jm_relations
@@ -50,7 +53,7 @@ from .errors import DegenerateParameter, ExactAlgebraError, InvariantViolation, 
 from .jacobi import graded_indices, jacobi_simplex, level_indices, lex_lead
 from .linalg import ExactMatrix, SpanBasis
 from .params import ParamVector, require_valid
-from .poly import MultiPoly
+from .poly import MultiPoly, _pack
 from .racah import (
     b12_operator,
     b123_operator,
@@ -59,7 +62,7 @@ from .racah import (
     certificate_2d,
     predicted_m_action,
 )
-from .scalar import Rat, rat_str
+from .scalar import ZERO, Rat, rat_str
 
 SUITES = (
     "spectral",
@@ -126,11 +129,11 @@ class ModuleInvarianceError(ExactAlgebraError):
 
 class ModuleContext:
     """Cached exact data for one cell (d, n, gamma): the graded family
-    {P_mu : |mu| <= n}, the coefficient of x^mu in each P_mu, its
-    lex-smallest top-degree monomial (checked at build time), the generator
-    matrices, from which the M_j^variant matrices are summed, and the verdict
-    of M_j P_mu = lambda_j(mu) P_mu on each level |mu| <= n, which spectral
-    and orthogonality share."""
+    {P_mu : |mu| <= n}, the expansion of every monomial of degree <= n in
+    it (built once, then checked: each P_mu must expand to its unit
+    vector), the generator matrices, from which the M_j^variant matrices are
+    summed, and the verdict of M_j P_mu = lambda_j(mu) P_mu on each level
+    |mu| <= n, which spectral and orthogonality share."""
 
     def __init__(self, d: int, n: int, gamma):
         self.d = d
@@ -139,39 +142,77 @@ class ModuleContext:
         self.level = level_indices(n, d)
         self.graded = graded_indices(n, d)
         self.polys = {nu: jacobi_simplex(nu, self.gamma) for nu in self.graded}
-        self._leads = {nu: lex_lead(nu, poly) for nu, poly in self.polys.items()}
+        self._inverse, self._row_dens = self._invert_basis()
+        for row, mu in enumerate(self.graded):
+            coeffs = self.expand(self.polys[mu])
+            if coeffs[row] != 1 or any(coeffs[:row]) or any(coeffs[row + 1 :]):
+                raise InvariantViolation(f"P_{mu} does not expand to its unit vector")
         self._matrices: dict = {}
         self._eigen_defects: dict = {}
 
+    def _invert_basis(self) -> tuple:
+        """({packed alpha: [(row, numerator)]}, [denominator of each row]):
+        the coefficient of P_mu, mu = graded[row], in x^alpha is numerator /
+        denominator, for every |alpha| <= n.
+
+        Monomials go in graded order.  With P_alpha = sum_e N[e] x^e / den and
+        lead = N[alpha] / den (``lex_lead``),
+
+            x^alpha = (den P_alpha - sum_{e != alpha} N[e] x^e) / (den lead),
+
+        and every other monomial e of P_alpha is of lower degree or
+        lex-greater, so it comes earlier and its expansion is known.  Each
+        expansion is built on ints over one denominator, then every row is
+        put over the lcm of its entries' reduced denominators, which is
+        positive."""
+        columns: dict = {}  # packed alpha -> (denominator, {row: numerator})
+        for row, alpha in enumerate(self.graded):
+            poly = self.polys[alpha]
+            lead = lex_lead(alpha, poly)
+            key = _pack(alpha)
+            rest = [(e, n) for e, n in poly.nums.items() if e != key]
+            common = lcm(*(columns[e][0] for e, _ in rest))
+            acc = {row: poly.den * common}
+            for e, n in rest:
+                den_e, column = columns[e]
+                weight = n * (common // den_e)
+                for i, v in column.items():
+                    acc[i] = acc.get(i, 0) - weight * v
+            den = common * poly.den * lead.numerator  # negative with the lead
+            numerators = {i: v * lead.denominator for i, v in acc.items() if v}
+            g = gcd(den, *numerators.values())
+            columns[key] = (den // g, {i: v // g for i, v in numerators.items()})
+        row_dens = [1] * len(self.graded)
+        for den, column in columns.values():
+            for i, v in column.items():
+                row_dens[i] = lcm(row_dens[i], den // gcd(den, v))
+        inverse = {}
+        for e, (den, column) in columns.items():
+            entries = []
+            for i, v in column.items():
+                g = gcd(den, v)
+                entries.append((i, v // g * (row_dens[i] // (den // g))))
+            inverse[e] = entries
+        return inverse, row_dens
+
     def expand(self, poly: MultiPoly) -> list:
         """Coefficients of ``poly`` in the graded family (exact), in
-        ``self.graded`` order, by forward substitution.
-
-        Degrees are peeled from the top; within a degree the indices go in
-        ascending lex order, so x^mu of the remainder is touched by no P_nu
-        still to come and its coefficient is rem[x^mu] / lead_mu.
-        """
-        if poly.total_degree() > self.n:
-            raise ModuleInvarianceError(
-                f"degree {poly.total_degree()} image escapes the degree-{self.n} space"
-            )
-        remainder = dict(poly.terms)
-        coeffs = {}
-        for mu in reversed(self.graded):
-            value = remainder.get(mu)
-            if not value:
-                coeffs[mu] = Rat(0)
-                continue
-            c = coeffs[mu] = value / self._leads[mu]
-            for exponent, term in self.polys[mu].terms.items():
-                rest = remainder.get(exponent, 0) - c * term
-                if rest:
-                    remainder[exponent] = rest
-                else:
-                    del remainder[exponent]
-        if remainder:
-            raise InvariantViolation(f"expansion leaves the remainder {MultiPoly(self.d, remainder)}")
-        return [coeffs[mu] for mu in self.graded]
+        ``self.graded`` order: for each row, the integer dot product of
+        poly's numerators with the basis inverse, and one ``Rat`` per
+        nonzero coefficient.  A monomial of degree above n has no expansion
+        and raises ModuleInvarianceError."""
+        sums = [0] * len(self.graded)
+        inverse = self._inverse
+        for e, c in poly.nums.items():
+            column = inverse.get(e)
+            if column is None:
+                raise ModuleInvarianceError(
+                    f"degree {poly.total_degree()} image escapes the degree-{self.n} space"
+                )
+            for i, v in column:
+                sums[i] += c * v
+        den = poly.den
+        return [Rat(s, den * row_den) if s else ZERO for s, row_den in zip(sums, self._row_dens)]
 
     def matrix_of(self, op: DiffOp, name: str | None = None) -> ExactMatrix:
         """Square matrix of ``op`` on {|nu| = n}; columns are images of P_nu.
@@ -185,13 +226,14 @@ class ModuleContext:
         for nu in self.level:
             coeffs = self.expand(op.apply(self.polys[nu]))
             for i in range(lower):
-                if coeffs[i] != 0:
+                if coeffs[i]:
                     raise ModuleInvarianceError(
                         f"image of P_{nu} has coefficient {rat_str(coeffs[i])} "
                         f"on lower-degree index {self.graded[i]}"
                     )
             columns.append(coeffs[lower:])
-        matrix = ExactMatrix.from_columns(columns)
+        size = len(self.level)
+        matrix = ExactMatrix._raw(size, size, [list(row) for row in zip(*columns)])
         if name is not None:
             self._matrices[name] = matrix
         return matrix

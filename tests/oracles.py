@@ -9,8 +9,12 @@ instead of checking that each generator is formally symmetric for the weight
 and that the Jucys-Murphy operators have a simple joint spectrum on the
 family, the orbit oracle grows each orbit by exact elimination instead of
 walking the nonzero pattern, the
-expansion oracle multiplies by the inverse of the dense basis matrix instead
-of substituting along the lex-triangular leads, the operator-matrix oracle
+expansion oracles multiply by the inverse of the dense basis matrix, or peel
+the family off the remainder by forward substitution on rationals, instead
+of reading the integer inverse built one monomial at a time, the Fraction
+polynomial and its Jacobi family run every operation on rationals instead of
+on integer numerators over one denominator, the whole-product limit keeps
+every power of t instead of truncating above the valuation, the operator-matrix oracle
 expands each generator sum and product from its own differential operator
 instead of adding and multiplying generator matrices, the relations oracle
 compares sums of Jucys-Murphy operators and matrices instead of counting index
@@ -38,6 +42,7 @@ import operator
 import random
 from itertools import combinations, product
 from math import comb, prod
+from typing import Iterable, Mapping
 
 from simplexalg.diffops import (
     DiffOp,
@@ -48,15 +53,20 @@ from simplexalg.diffops import (
     m_operator,
     m_pairs,
 )
-from simplexalg.errors import DegenerateParameter, DimensionMismatch, InvalidParameter
-from simplexalg.jacobi import graded_indices, jacobi1d_coeffs, jacobi_simplex
+from simplexalg.errors import (
+    DegenerateParameter,
+    DimensionMismatch,
+    InvalidParameter,
+    InvariantViolation,
+)
+from simplexalg.jacobi import a_param, graded_indices, jacobi1d_coeffs, jacobi_simplex, lex_lead
 from simplexalg.linalg import ExactMatrix, SpanBasis
 from simplexalg.moments import simplex_moment
 from simplexalg.params import ParamVector, check_gamma, check_jacobi_params, require_valid
 from simplexalg.poly import MultiPoly
-from simplexalg.racah import ZFraction, ZShiftOp, _racah_operator_cached
-from simplexalg.scalar import Rat, as_rat, rat_str
-from simplexalg.verify import CheckResult, _f_index_choices
+from simplexalg.racah import ZFraction, ZShiftOp, _limit_at_zero, _racah_operator_cached
+from simplexalg.scalar import ONE, Rat, as_rat, rat_str
+from simplexalg.verify import CheckResult, ModuleInvarianceError, _f_index_choices
 
 
 # -- what only the oracles and the tests use of polynomials and matrices ----
@@ -94,6 +104,303 @@ def deriv_multi(poly: MultiPoly, orders) -> MultiPoly:
     return poly
 
 
+# -- the Fraction polynomial, and what ran on it ----------------------------
+
+
+class FractionPoly:
+    """Reference polynomial for ``MultiPoly``: a map from exponent tuples to
+    nonzero ``Rat`` coefficients, with every operation on ``Rat``s.  Its
+    ``terms`` compare with a ``MultiPoly``'s."""
+
+    __slots__ = ("dim", "terms")
+
+    def __init__(self, dim: int, terms: Mapping = ()):
+        if dim < 0:
+            raise ValueError("dim must be >= 0")
+        canonical = {}
+        for exponent, coefficient in dict(terms).items():
+            exponent = tuple(int(e) for e in exponent)
+            if len(exponent) != dim or any(e < 0 for e in exponent):
+                raise ValueError(f"bad exponent {exponent} for dim {dim}")
+            coefficient = as_rat(coefficient)
+            if coefficient != 0:
+                canonical[exponent] = coefficient
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", canonical)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FractionPoly is immutable")
+
+    # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def _raw(cls, dim: int, terms: dict) -> "FractionPoly":
+        """Trusted constructor: ``terms`` is already canonical (internal use)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
+    def zero(cls, dim: int) -> "FractionPoly":
+        return cls._raw(dim, {})
+
+    @classmethod
+    def const(cls, dim: int, value) -> "FractionPoly":
+        return cls(dim, {(0,) * dim: as_rat(value)})
+
+    @classmethod
+    def variable(cls, dim: int, index: int) -> "FractionPoly":
+        """The variable x_{index+1} (0-based ``index``)."""
+        if not 0 <= index < dim:
+            raise ValueError(f"variable index {index} out of range for dim {dim}")
+        exponent = [0] * dim
+        exponent[index] = 1
+        return cls(dim, {tuple(exponent): ONE})
+
+    @classmethod
+    def monomial(cls, dim: int, exponent: Iterable[int], coefficient=1) -> "FractionPoly":
+        return cls(dim, {tuple(exponent): as_rat(coefficient)})
+
+    # -- queries ----------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def total_degree(self) -> int:
+        """Max |exponent| over stored terms; -1 for the zero polynomial."""
+        if not self.terms:
+            return -1
+        return max(sum(e) for e in self.terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FractionPoly):
+            return NotImplemented
+        return self.dim == other.dim and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.dim, frozenset(self.terms.items())))
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    # -- arithmetic -------------------------------------------------------
+
+    def _check_dim(self, other: "FractionPoly"):
+        if self.dim != other.dim:
+            raise DimensionMismatch(f"polynomials in {self.dim} and {other.dim} variables")
+
+    def __add__(self, other):
+        if not isinstance(other, FractionPoly):
+            other = FractionPoly.const(self.dim, other)
+        self._check_dim(other)
+        out = dict(self.terms)
+        for exponent, coefficient in other.terms.items():
+            value = out.get(exponent, 0) + coefficient
+            if value == 0:
+                out.pop(exponent, None)
+            else:
+                out[exponent] = value
+        return FractionPoly._raw(self.dim, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionPoly._raw(self.dim, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, FractionPoly):
+            other = FractionPoly.const(self.dim, other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionPoly):
+            return self.scale(other)
+        self._check_dim(other)
+        out: dict = {}
+        get = out.get
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exponent = tuple(a + b for a, b in zip(e1, e2))
+                out[exponent] = get(exponent, 0) + c1 * c2
+        for exponent in [e for e, c in out.items() if c == 0]:
+            del out[exponent]
+        return FractionPoly._raw(self.dim, out)
+
+    __rmul__ = __mul__
+
+    def scale(self, value) -> "FractionPoly":
+        value = as_rat(value)
+        if value == 0:
+            return FractionPoly.zero(self.dim)
+        return FractionPoly._raw(self.dim, {e: c * value for e, c in self.terms.items()})
+
+    def __truediv__(self, value) -> "FractionPoly":
+        """Division by a nonzero scalar."""
+        return self.scale(1 / as_rat(value))
+
+    def __pow__(self, exponent: int) -> "FractionPoly":
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a nonnegative int")
+        result = FractionPoly.const(self.dim, 1)
+        base = self
+        n = exponent
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    # -- calculus and substitution ----------------------------------------
+
+    def deriv(self, index: int, order: int = 1) -> "FractionPoly":
+        """Partial derivative d^order / dx_{index+1}^order."""
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        poly = self
+        for _ in range(order):
+            out = {}
+            for exponent, coefficient in poly.terms.items():
+                e = exponent[index]
+                if e == 0:
+                    continue
+                new_exp = exponent[:index] + (e - 1,) + exponent[index + 1 :]
+                out[new_exp] = out.get(new_exp, 0) + coefficient * e
+            poly = FractionPoly._raw(self.dim, out)
+        return poly
+
+    def subs_var(self, index: int, replacement: "FractionPoly") -> "FractionPoly":
+        """Substitute a polynomial for the variable x_{index+1} (same dim)."""
+        self._check_dim(replacement)
+        powers = {0: FractionPoly.const(self.dim, 1)}
+
+        def power(n: int) -> "FractionPoly":
+            if n not in powers:
+                powers[n] = power(n - 1) * replacement
+            return powers[n]
+
+        out: dict = {}
+        get = out.get
+        for exponent, coefficient in self.terms.items():
+            e = exponent[index]
+            rest = exponent[:index] + (0,) + exponent[index + 1 :]
+            for p_exp, p_coef in power(e).terms.items():
+                new_exp = tuple(a + b for a, b in zip(rest, p_exp))
+                out[new_exp] = get(new_exp, 0) + coefficient * p_coef
+        for exponent in [e for e, c in out.items() if c == 0]:
+            del out[exponent]
+        return FractionPoly._raw(self.dim, out)
+
+    def subs_affine(self, index: int, a, b) -> "FractionPoly":
+        """Substitute x_{index+1} -> a*x_{index+1} + b (exact, O(terms*degree))."""
+        a, b = as_rat(a), as_rat(b)
+        out: dict = {}
+        get = out.get
+        binom_rows: dict = {}
+        for exponent, coefficient in self.terms.items():
+            p = exponent[index]
+            if p == 0:
+                out[exponent] = get(exponent, 0) + coefficient
+                continue
+            row = binom_rows.get(p)
+            if row is None:
+                # (a x + b)^p = sum_i C(p,i) a^i b^(p-i) x^i
+                row = [as_rat(comb(p, i)) * a ** i * b ** (p - i) for i in range(p + 1)]
+                binom_rows[p] = row
+            for i, factor in enumerate(row):
+                if factor == 0:
+                    continue
+                new_exp = exponent[:index] + (i,) + exponent[index + 1 :]
+                out[new_exp] = get(new_exp, 0) + coefficient * factor
+        for exponent in [e for e, c in out.items() if c == 0]:
+            del out[exponent]
+        return FractionPoly._raw(self.dim, out)
+
+    def subs_value(self, index: int, value) -> "FractionPoly":
+        """Substitute a constant for x_{index+1} (result keeps the same dim)."""
+        value = as_rat(value)
+        out: dict = {}
+        get = out.get
+        for exponent, coefficient in self.terms.items():
+            p = exponent[index]
+            factor = coefficient if p == 0 else coefficient * value ** p
+            if factor == 0:
+                continue
+            new_exp = exponent[:index] + (0,) + exponent[index + 1 :]
+            out[new_exp] = get(new_exp, 0) + factor
+        for exponent in [e for e, c in out.items() if c == 0]:
+            del out[exponent]
+        return FractionPoly._raw(self.dim, out)
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        terms = sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
+        for exponent, coefficient in terms:
+            factors = [rat_str(coefficient)] if coefficient != 1 or not any(exponent) else []
+            for i, e in enumerate(exponent):
+                if e == 1:
+                    factors.append(f"x{i + 1}")
+                elif e > 1:
+                    factors.append(f"x{i + 1}^{e}")
+            parts.append("*".join(factors))
+        return " + ".join(parts)
+
+
+def jacobi_simplex_oracle(nu, gamma) -> FractionPoly:
+    """P_nu on ``FractionPoly``: each factor sum_i c_i s^(n_k-i) (s - x_k)^i
+    summed on ``Rat``s, s = 1 - x_1 - ... - x_{k-1}."""
+    params = require_valid(gamma)
+    d = params.d
+    result = FractionPoly.const(d, 1)
+    for k in range(1, d + 1):
+        n_k = nu[k - 1]
+        if n_k == 0:
+            continue
+        s = FractionPoly.const(d, 1)
+        for i in range(k - 1):
+            s = s - FractionPoly.variable(d, i)
+        s_minus_x = s - FractionPoly.variable(d, k - 1)
+        factor = FractionPoly.zero(d)
+        for i, c in enumerate(jacobi1d_coeffs(n_k, a_param(k, nu, params), params[k])):
+            factor = factor + (s ** (n_k - i) * s_minus_x ** i).scale(c)
+        result = result * factor
+    return result
+
+
+def forward_substitution_oracle(ctx, poly: MultiPoly) -> list:
+    """Coefficients of ``poly`` in the graded family of ``ctx`` by forward
+    substitution on ``Rat``s: degrees are peeled from the top, ascending lex
+    within a degree, so x^mu of the remainder is touched by no P_nu still to
+    come and its coefficient is rem[x^mu] / lead_mu."""
+    if poly.total_degree() > ctx.n:
+        raise ModuleInvarianceError(
+            f"degree {poly.total_degree()} image escapes the degree-{ctx.n} space"
+        )
+    remainder = dict(poly.terms)
+    coeffs = {}
+    for mu in reversed(ctx.graded):
+        value = remainder.get(mu)
+        if not value:
+            coeffs[mu] = Rat(0)
+            continue
+        c = coeffs[mu] = value / lex_lead(mu, ctx.polys[mu])
+        for exponent, term in ctx.polys[mu].terms.items():
+            rest = remainder.get(exponent, 0) - c * term
+            if rest:
+                remainder[exponent] = rest
+            else:
+                del remainder[exponent]
+    if remainder:
+        raise InvariantViolation(f"expansion leaves the remainder {FractionPoly(ctx.d, remainder)}")
+    return [coeffs[mu] for mu in ctx.graded]
+
+
 def jacobi1d(n: int, alpha, beta) -> MultiPoly:
     """One-variable Jacobi polynomial of degree n as a polynomial in t (dim 1)."""
     if n < 0:
@@ -121,6 +428,14 @@ class RingMatrix(ExactMatrix):
     @classmethod
     def of(cls, matrix: ExactMatrix) -> "RingMatrix":
         return cls._raw(matrix.rows, matrix.cols, matrix.entries)
+
+    @classmethod
+    def from_columns(cls, columns) -> "RingMatrix":
+        cols = [list(c) for c in columns]
+        if not cols:
+            return cls([])
+        rows = len(cols[0])
+        return cls([[cols[j][i] for j in range(len(cols))] for i in range(rows)])
 
     def _entrywise(self, other: ExactMatrix, op) -> "RingMatrix":
         self._check_shape(other)
@@ -372,7 +687,7 @@ def orbit_closure_dimensions(matrices, size: int) -> list:
 def _dense_basis_inverse(d: int, n: int, gamma: tuple) -> RingMatrix:
     index = {m: i for i, m in enumerate(graded_indices(n, d))}
     columns = [coordinates(jacobi_simplex(nu, gamma), index) for nu in graded_indices(n, d)]
-    return RingMatrix.of(ExactMatrix.from_columns(columns).inverse())
+    return RingMatrix.of(RingMatrix.from_columns(columns).inverse())
 
 
 def dense_expand_oracle(ctx, poly: MultiPoly) -> list:
@@ -668,6 +983,13 @@ def folded_value(family, sigma, z) -> Rat:
         value -= last * (last + family.beta[family.m + 1]) + family.identity_const
         value += family.constant
     return value
+
+
+def whole_product_limit(family, sigma, z) -> Rat:
+    """``family._limit(sigma, z)`` with both products of the Q[t] product
+    form taken whole, every power of t kept."""
+    fold_num, kernels, den = family._factors(sigma, z, *family._over_t)
+    return _limit_at_zero(prod(kernels, start=fold_num), prod(den))
 
 
 # -- printed Racah coefficients, numerator-first -----------------------------

@@ -1,5 +1,7 @@
-"""Expansion in the Jacobi basis by lex-triangular substitution, against the
-dense-inverse oracle and the unit-vector property."""
+"""Expansion in the Jacobi basis by the integer inverse that ``ModuleContext``
+builds one monomial at a time, against the dense-inverse and
+forward-substitution oracles and the unit-vector property; the family
+itself against the Fraction oracle."""
 
 import random
 from itertools import combinations
@@ -8,14 +10,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import coefficient, dense_expand_oracle
+from oracles import (
+    coefficient,
+    dense_expand_oracle,
+    forward_substitution_oracle,
+    jacobi_simplex_oracle,
+    sample_valid_gammas,
+)
+from simplexalg import verify
 from simplexalg.diffops import l_operator
 from simplexalg.errors import InvariantViolation
-from simplexalg.jacobi import graded_indices, lex_lead
+from simplexalg.jacobi import graded_indices, jacobi_simplex, lex_lead
 from simplexalg.params import ParamVector, check_gamma
-from simplexalg.poly import MultiPoly
+from simplexalg.poly import MultiPoly, _pack
 from simplexalg.scalar import Rat
-from simplexalg.verify import ModuleContext
+from simplexalg.verify import ModuleContext, verify_difference_action
 
 RECIPROCAL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -43,14 +52,19 @@ def test_triangular_expansion_equals_dense_inverse(label):
     d, n, gamma = CELLS[label]
     ctx = ModuleContext(d, n, ParamVector(gamma))
     generators = [l_operator(i, j, d, ctx.gamma) for i, j in combinations(range(1, d + 2), 2)]
-    for mu in ctx.graded:
-        for op in generators:
-            image = op.apply(ctx.polys[mu])
-            assert ctx.expand(image) == dense_expand_oracle(ctx, image), (mu, op)
     rng = random.Random(f"expand-{label}")
-    for _ in range(8):
-        poly = _random_poly(rng, d, n)
-        assert ctx.expand(poly) == dense_expand_oracle(ctx, poly)
+    images = [op.apply(ctx.polys[mu]) for mu in ctx.graded for op in generators]
+    for poly in images + [_random_poly(rng, d, n) for _ in range(8)]:
+        expected = dense_expand_oracle(ctx, poly)
+        assert ctx.expand(poly) == expected
+        assert forward_substitution_oracle(ctx, poly) == expected
+
+
+@pytest.mark.parametrize("label", sorted(CELLS))
+def test_jacobi_family_equals_the_fraction_oracle(label):
+    d, n, gamma = CELLS[label]
+    for nu in graded_indices(n, d):
+        assert dict(jacobi_simplex(nu, gamma).terms) == jacobi_simplex_oracle(nu, gamma).terms, nu
 
 
 def test_lex_lead_rejects_a_polynomial_without_the_triangular_lead():
@@ -62,11 +76,28 @@ def test_lex_lead_rejects_a_polynomial_without_the_triangular_lead():
         lex_lead((1, 1), x1 + x2)  # wrong degree
 
 
-def test_expand_raises_on_a_nonzero_remainder():
-    ctx = ModuleContext(2, 2, ParamVector([Rat(1, 2), Rat(1, 3), Rat(1, 5)]))
-    ctx._leads[(1, 1)] *= 2  # a wrong lead leaves half of P_(1,1) behind
-    with pytest.raises(InvariantViolation, match="remainder"):
-        ctx.expand(ctx.polys[(1, 1)])
+def test_context_build_raises_when_a_member_misses_its_unit_vector(monkeypatch):
+    # a wrong lead while the inverse is built leaves half of P_(1,1) behind
+    lead = verify.lex_lead
+
+    def doubled(nu, poly):
+        return lead(nu, poly) * (2 if nu == (1, 1) else 1)
+
+    monkeypatch.setattr(verify, "lex_lead", doubled)
+    with pytest.raises(InvariantViolation, match=r"P_\(1, 1\) does not expand to its unit vector"):
+        ModuleContext(2, 2, ParamVector([Rat(1, 2), Rat(1, 3), Rat(1, 5)]))
+
+
+def test_a_wrong_inverse_entry_makes_racah_fail():
+    gamma = sample_valid_gammas(27, 3, 1, positive=True)[0]
+    assert verify_difference_action(ModuleContext(3, 2, gamma)).status == "pass"
+    ctx = ModuleContext(3, 2, gamma)
+    alpha = ctx.level[0]  # x^(2,0,0): its own row is a row of the level
+    row = ctx.graded.index(alpha)
+    column = ctx._inverse[_pack(alpha)]
+    column[:] = [(i, v + 1 if i == row else v) for i, v in column]
+    result = verify_difference_action(ctx)
+    assert result.status == "fail", result
 
 
 @settings(max_examples=40, deadline=None)

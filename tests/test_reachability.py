@@ -66,7 +66,7 @@ ALLOWED = {
     "linalg.py:ExactMatrix.__repr__": "debugging display",
     "poly.py:MultiPoly.__setattr__": "immutability guard: raises on any attribute write",
     "poly.py:MultiPoly.__hash__": "MultiPoly defines __eq__ and stays hashable",
-    "poly.py:MultiPoly.__repr__": "printed in the InvariantViolation message of ModuleContext.expand",
+    "poly.py:MultiPoly.__repr__": "debugging display",
     "params.py:ParamVector.__repr__": "debugging display",
     "params.py:ParamVector.__len__": "sequence protocol of a gamma vector; the moment seam calls it",
     "errors.py:SingularSystem.__init__": "error constructor: runs only when a solve is singular",
