@@ -154,11 +154,6 @@ class MultiPoly:
         dim = self.dim
         return max((sum(e.to_bytes(dim, "little")) for e in self.nums), default=-1)
 
-    def min_degree(self) -> int:
-        """Min |exponent| over stored terms; -1 for the zero polynomial."""
-        dim = self.dim
-        return min((sum(e.to_bytes(dim, "little")) for e in self.nums), default=-1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -235,30 +230,6 @@ class MultiPoly:
             _check_fields(top, "an exponent of the product")
         return top
 
-    def _graded_items(self) -> list:
-        """(key, numerator, total degree) of every term."""
-        dim = self.dim
-        return [(e, n, sum(e.to_bytes(dim, "little"))) for e, n in self.nums.items()]
-
-    def mul_truncated(self, other, degree: int) -> "MultiPoly":
-        """The terms of self * other of total degree at most ``degree``; no
-        term above it is formed."""
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.dim, other)
-        self._check_dim(other)
-        top = self._product_top(other)
-        out: dict = {}
-        get = out.get
-        theirs = other._graded_items()
-        for e1, n1, d1 in self._graded_items():
-            room = degree - d1
-            for e2, n2, d2 in theirs:
-                if d2 <= room:
-                    key = e1 + e2
-                    out[key] = get(key, 0) + n1 * n2
-        nums = {e: n for e, n in out.items() if n}
-        return MultiPoly._canonical(self.dim, self.den * other.den, nums, top)
-
     def scale(self, value) -> "MultiPoly":
         value = as_rat(value)
         if value == 0:
@@ -316,10 +287,11 @@ class MultiPoly:
         result = MultiPoly.zero(self.dim)
         power = MultiPoly.const(self.dim, 1)
         for p in range(max(by_power, default=-1) + 1):
+            if p:
+                power = power * replacement
             if p in by_power:
                 rest = MultiPoly._canonical(self.dim, self.den, by_power[p], self.top)
                 result = result + rest * power
-            power = power * replacement
         return result
 
     def subs_affine(self, index: int, a, b) -> "MultiPoly":

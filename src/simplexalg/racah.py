@@ -54,7 +54,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, product
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -704,9 +704,9 @@ def _limit_at_zero(num: MultiPoly, den: MultiPoly) -> Rat:
     valuation of num, or a den that vanishes identically, is a defect."""
     if den.is_zero():
         raise InvariantViolation("denominator vanishes identically along gamma0 + t·v")
-    v, low = den.min_degree(), num.min_degree()
-    if 0 <= low < v:
-        raise InvariantViolation(f"pole of order {v - low} at t = 0")
+    v = min(e for (e,) in den.terms)
+    if num.terms and min(e for (e,) in num.terms) < v:
+        raise InvariantViolation(f"pole of order {v - min(e for (e,) in num.terms)} at t = 0")
     return num.terms.get((v,), Rat(0)) / den.terms[(v,)]
 
 
@@ -900,24 +900,9 @@ class _FoldedFamily:
         return _family_inputs(self.variant, self.m, self.n, g)
 
     def _limit(self, sigma, z) -> Rat:
-        """The product form of C_sigma over Q[t], as its exact limit t -> 0.
-        The limit reads no coefficient above t^v, v the t-valuation of the
-        denominator, which is the sum of its factors' valuations, so both
-        products are taken truncated above t^v."""
+        """The product form of C_sigma over Q[t], as its exact limit t -> 0."""
         fold_num, kernels, den = self._factors(sigma, z, *self._over_t)
-        den = [f if isinstance(f, MultiPoly) else MultiPoly.const(1, f) for f in den]
-        # a factor that vanishes identically makes the product 0, which
-        # _limit_at_zero refuses
-        v = sum(max(f.min_degree(), 0) for f in den)
-        return _limit_at_zero(_product_to(v, fold_num, kernels), _product_to(v, 1, den))
-
-
-def _product_to(v: int, start, factors) -> MultiPoly:
-    """start times the factors, polynomials in t, without the terms above t^v."""
-    out = start if isinstance(start, MultiPoly) else MultiPoly.const(1, start)
-    for factor in factors:
-        out = out.mul_truncated(factor, v)
-    return out
+        return _limit_at_zero(prod(kernels, start=fold_num), prod(den))
 
 
 class ZMappedCoefficient:

@@ -13,8 +13,7 @@ expansion oracles multiply by the inverse of the dense basis matrix, or peel
 the family off the remainder by forward substitution on rationals, instead
 of reading the integer inverse built one monomial at a time, the Fraction
 polynomial and its Jacobi family run every operation on rationals instead of
-on integer numerators over one denominator, the whole-product limit keeps
-every power of t instead of truncating above the valuation, the operator-matrix oracle
+on integer numerators over one denominator, the operator-matrix oracle
 expands each generator sum and product from its own differential operator
 instead of adding and multiplying generator matrices, the relations oracle
 compares sums of Jucys-Murphy operators and matrices instead of counting index
@@ -983,13 +982,6 @@ def folded_value(family, sigma, z) -> Rat:
         value -= last * (last + family.beta[family.m + 1]) + family.identity_const
         value += family.constant
     return value
-
-
-def whole_product_limit(family, sigma, z) -> Rat:
-    """``family._limit(sigma, z)`` with both products of the Q[t] product
-    form taken whole, every power of t kept."""
-    fold_num, kernels, den = family._factors(sigma, z, *family._over_t)
-    return _limit_at_zero(prod(kernels, start=fold_num), prod(den))
 
 
 # -- printed Racah coefficients, numerator-first -----------------------------

@@ -171,6 +171,9 @@ cases = {
     "product 200 + 56": lambda: x * MultiPoly.monomial(2, (56, 1)),
     "power 128 * 2": lambda: MultiPoly.monomial(1, (128,)) ** 2,
     "x^200 y^200": lambda: x * y,
+    "subs t^5 -> t^51 + 1": lambda: MultiPoly.monomial(1, (5,)).subs_var(
+        0, MultiPoly.monomial(1, (51,)) + 1
+    ),
 }
 for name, build in cases.items():
     try:
@@ -185,6 +188,7 @@ POLY_OVERFLOW_OUTCOMES = [
     "product 200 + 56 raises",
     "power 128 * 2 raises",
     "x^200 y^200 returns",
+    "subs t^5 -> t^51 + 1 returns",
 ]
 
 
@@ -195,6 +199,9 @@ def test_an_exponent_above_the_field_raises(capsys):
     assert dict(edge.terms) == {(FIELD_MAX, FIELD_MAX): 1}
     with pytest.raises(PackingOverflow):
         edge * MultiPoly.variable(2, 1)
+    # 5·51 = 255 fits; the substitution forms no sixth power of t^51 + 1
+    t = MultiPoly.variable(1, 0)
+    assert MultiPoly.monomial(1, (5,)).subs_var(0, t**51 + 1) == (t**51 + 1) ** 5
 
 
 def test_an_exponent_above_the_field_raises_under_python_O():

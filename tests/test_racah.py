@@ -21,7 +21,6 @@ from oracles import (
     racah_operator,
     sample_valid_gammas,
     shift_ops_equal,
-    whole_product_limit,
 )
 from simplexalg import cli, racah
 from simplexalg.errors import DegenerateParameter, InvariantViolation
@@ -636,36 +635,6 @@ def test_column_agrees_with_the_per_sigma_oracle(gamma, levels, monkeypatch):
     assert calls["column"] == calls["oracle"]
     if gamma in (G0_2, G0_3) + FAULT_GAMMAS + LIMIT_GAMMAS_4:
         assert calls["column"]
-
-
-@pytest.mark.parametrize(
-    "gamma, levels",
-    [
-        cell
-        for cell in _column_cells()
-        if cell.id == "seeded-d6" or cell.values[0] in FAULT_GAMMAS + LIMIT_GAMMAS_4
-    ],
-)
-def test_truncated_limit_equals_the_whole_product(gamma, levels, monkeypatch):
-    """Every limit a column takes, with its products truncated above t^v,
-    equals the limit of the whole products."""
-    taken = []
-    limit = racah._FoldedFamily._limit
-
-    def recorded(family, sigma, z):
-        value = limit(family, sigma, z)
-        taken.append((family, sigma, z, value))
-        return value
-
-    monkeypatch.setattr(racah._FoldedFamily, "_limit", recorded)
-    for n in levels:
-        for _, _, op in _general_ops(n, gamma):
-            family = op.terms[0].coef.family  # one family per op
-            for z in dict.fromkeys(map(family.z_of_nu, level_indices(n, gamma.d))):
-                family.column(z)
-    assert taken
-    for family, sigma, z, value in taken:
-        assert value == whole_product_limit(family, sigma, z), (sigma, z)
 
 
 @pytest.mark.parametrize(
