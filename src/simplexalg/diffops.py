@@ -13,7 +13,7 @@ canonical (no zero numerators, gcd(den, every numerator) = 1), so equality
 of operators is equality of data, and sums, scalings, compositions and
 actions on polynomials run on ints: ``apply`` takes and returns the integer
 form of ``MultiPoly``, and the read-only ``terms`` view {derivative tuple:
-MultiPoly} is built on first read.
+MultiPoly} is built on each read.
 
 The generators are
 
@@ -30,17 +30,22 @@ and the Jucys-Murphy sums M_j = sum_{j<=k<l<=d+1} L_{k,l} form a commuting
 family; M_j^+/M_j^- apply the cyclic index shift tau = (1,2,...,d+1) or its
 inverse to every pair.  Compositions use the Leibniz rule, so commutator and
 anticommutator identities become literal equality of expanded data.
+
+``generator_table`` builds the generators once per (d, gamma), bounded by
+``OPERATOR_CACHE_SIZE``; every other operator of the package (M_j^variant,
+the hats, F) is read, summed or composed from it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations, product
 from math import comb, gcd, lcm, perm, prod
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import DimensionMismatch
-from .params import require_valid
+from .params import ParamVector, require_valid
 from .poly import FIELD_MAX, MultiPoly, _check_fields, _degrees, _pack, _unpack
 from .scalar import as_rat
 
@@ -104,11 +109,11 @@ class DiffOp:
 
     ``DiffOp(dim, {derivative tuple: MultiPoly or scalar})`` validates and
     packs; ``terms`` is the same data as {derivative tuple: MultiPoly},
-    built on first read.  ``top`` bounds every entry of every derivative and
+    built on each read.  ``top`` bounds every entry of every derivative and
     exponent vector, so a result whose entries could leave the packed field
     raises ``PackingOverflow`` before it is computed."""
 
-    __slots__ = ("dim", "den", "nums", "top", "_terms")
+    __slots__ = ("dim", "den", "nums", "top")
 
     def __init__(self, dim: int, terms: Mapping = ()):
         coefficients = {}
@@ -134,7 +139,7 @@ class DiffOp:
         self._set(dim, den, nums, top)
 
     def _set(self, dim: int, den: int, nums: dict, top: int):
-        for name, value in (("dim", dim), ("den", den), ("nums", nums), ("top", top), ("_terms", None)):
+        for name, value in (("dim", dim), ("den", den), ("nums", nums), ("top", top)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -163,15 +168,13 @@ class DiffOp:
 
     @property
     def terms(self) -> Mapping:
-        """Read-only {derivative tuple: MultiPoly}, built on first read."""
-        if self._terms is None:
-            dim, den, top = self.dim, self.den, self.top
-            view = {
-                _unpack(alpha, dim): MultiPoly._canonical(dim, den, dict(m), top)
-                for alpha, m in self.nums.items()
-            }
-            object.__setattr__(self, "_terms", MappingProxyType(view))
-        return self._terms
+        """Read-only {derivative tuple: MultiPoly}, built on each read, so that
+        an operator kept in the generator table keeps no view."""
+        dim, den, top = self.dim, self.den, self.top
+        return MappingProxyType({
+            _unpack(alpha, dim): MultiPoly._canonical(dim, den, dict(m), top)
+            for alpha, m in self.nums.items()
+        })
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -308,6 +311,24 @@ def l_operator(i: int, j: int, d: int, gamma) -> DiffOp:
     return DiffOp(d, {tuple(2 * a for a in ei): quad, tuple(ei): lin})
 
 
+#: Most (d, gamma) entries each per-process operator cache keeps: the
+#: generator table here and the operator verdicts of ``verify``.
+OPERATOR_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
+def generator_table(d: int, params: ParamVector) -> Mapping:
+    """Read-only {(i, j): L_{i,j}} for 1 <= i < j <= d+1, built once per (d, gamma)."""
+    pairs = combinations(range(1, d + 2), 2)
+    return MappingProxyType({(i, j): l_operator(i, j, d, params) for i, j in pairs})
+
+
+def pair_sum(pairs, d: int, gamma) -> DiffOp:
+    """Sum of the table's generators L_{k,l} over the index pairs (either order)."""
+    table = generator_table(d, require_valid(gamma, d))
+    return sum((table[min(k, l), max(k, l)] for k, l in pairs), DiffOp.zero(d))
+
+
 def l_total(d: int, gamma) -> DiffOp:
     """Sum of all generators: M_1, whose pairs are all the pairs."""
     return m_operator(1, d, gamma)
@@ -329,13 +350,9 @@ def m_pairs(j: int, d: int, variant: str = "plain") -> list:
 
 
 def m_operator(j: int, d: int, gamma, variant: str = "plain") -> DiffOp:
-    """Jucys-Murphy sum M_j (variant plain) or its cyclic images M_j^+/M_j^-."""
-    pairs = m_pairs(j, d, variant)
-    params = require_valid(gamma, d)
-    result = DiffOp.zero(d)
-    for k, l in pairs:
-        result = result + l_operator(k, l, d, params)
-    return result
+    """Jucys-Murphy sum M_j (variant plain) or its cyclic images M_j^+/M_j^-,
+    summed from the generator table."""
+    return pair_sum(m_pairs(j, d, variant), d, gamma)
 
 
 def jm_relations(d: int) -> list:
@@ -381,7 +398,8 @@ def pair_counts(terms, d: int) -> dict:
 
 
 def f_combination(i: int, j: int, k: int, l: int, d: int, gamma) -> DiffOp:
-    """The fourth-order combination F(L_{i,k}, L_{i,l}, L_{j,k}, L_{j,l}, L_{k,l}).
+    """The fourth-order combination F(L_{i,k}, L_{i,l}, L_{j,k}, L_{j,l}, L_{k,l})
+    of the table's generators.
 
     Satisfies (1 - g_k^2)(1 - g_l^2) L_{i,j} = F as an operator identity, so it
     recovers L_{i,j} from the five generators involving indices k and l.
@@ -392,7 +410,8 @@ def f_combination(i: int, j: int, k: int, l: int, d: int, gamma) -> DiffOp:
     for index in (i, j, k, l):
         if not 1 <= index <= d + 1:
             raise ValueError(f"index {index} out of range for d = {d}")
-    return f_formula(lambda a, b: l_operator(a, b, d, params), i, j, k, l, params)
+    table = generator_table(d, params)
+    return f_formula(lambda a, b: table[min(a, b), max(a, b)], i, j, k, l, params)
 
 
 def f_formula(generator, i: int, j: int, k: int, l: int, gamma):

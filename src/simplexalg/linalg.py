@@ -4,8 +4,9 @@ One Gaussian elimination with exact rational pivots, ``SpanBasis``, serves
 the generator rank, solve and inverse: nothing rounds, so there is no
 tolerance parameter anywhere.  Matrices are small (desk scale), so plain
 division-based elimination is the right tool; results are exact because the
-scalars are.  The suites only add and compare matrices; products, differences
-and scalings live with the oracles in ``tests/oracles.py``.
+scalars are.  The suites only read and compare matrices: every matrix they
+use is expanded from one operator, so sums, products, differences and
+scalings live with the oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ class ExactMatrix:
         return self
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -66,20 +63,6 @@ class ExactMatrix:
             and self.cols == other.cols
             and self.entries == other.entries
         )
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_shape(other)
-        return ExactMatrix._raw(
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-        )
-
-    def _check_shape(self, other: "ExactMatrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
 
     # -- elimination ------------------------------------------------------
 

@@ -786,8 +786,9 @@ class _FoldedFamily:
     ``_factors`` returns the same factors unscaled, over any ring, and
     ``_limit`` multiplies them over Q[t], with the inputs at gamma0 + t·v
     (``_over_t``, built on the first limit) and z free of t, and returns
-    their exact limit as t -> 0.  The zero shift's polynomial terms are
-    continuous, so they are read at t = 0.
+    their exact limit as t -> 0.  The Q[t] kernels of one z are built once,
+    keyed by (k, s_k, s_{k+1}), and shared by every sigma of the column.  The
+    zero shift's polynomial terms are continuous, so they are read at t = 0.
     """
 
     def __init__(self, variant: str, m: int, n: int, gamma: tuple, z_of_nu: Callable):
@@ -803,6 +804,7 @@ class _FoldedFamily:
         # (4D²)^m / (2D²)^(m+1) = 2^(m-1) / D²
         self.scale = (2 ** (m - 1), self.unit ** 2)
         self._nu = self._column = None
+        self._t_kernels = (None, {})  # (z, {(k, s_k, s_{k+1}): kernel over Q[t]})
 
     def at(self, nu) -> list:
         """``column(z_of_nu(nu))``, kept for the last nu."""
@@ -867,9 +869,10 @@ class _FoldedFamily:
         """sigma at each index of a column, built on the first limit."""
         return list(product((-1, 0, 1), repeat=self.m))
 
-    def _factors(self, sigma, z, beta, fold, b_factors) -> tuple:
+    def _factors(self, sigma, z, beta, fold, b_factors, kernels=None) -> tuple:
         """(fold numerator, kernels, denominator factors) of C_sigma at z, the
-        kernels lazily, in order."""
+        kernels lazily, in order; with a ``kernels`` dict, each kernel is read
+        from it or stored in it under (k, s_k, s_{k+1}), for one z only."""
         zs = [0, *z]  # zs[k] = z_k with z_0 = 0
         z1 = zs[1]
         bits = [0, *map(abs, sigma), 0]
@@ -890,7 +893,17 @@ class _FoldedFamily:
                 # g(nu+mu)/g(nu) = (A - z_1) / (z_1 + g_1)
                 fold_num = A - z1
                 den.append(z1 + g1)
-        return fold_num, map(_kernel, bits, bits[1:], zs, zs[1:], beta, beta[1:]), den
+        factors = zip(bits, bits[1:], zs, zs[1:], beta, beta[1:])
+        if kernels is None:
+            return fold_num, (_kernel(*args) for args in factors), den
+        signs = (0, *sigma, 0)
+        shared = []
+        for k, args in enumerate(factors):
+            key = (k, signs[k], signs[k + 1])
+            if key not in kernels:
+                kernels[key] = _kernel(*args)
+            shared.append(kernels[key])
+        return fold_num, shared, den
 
     @cached_property
     def _over_t(self) -> tuple:
@@ -900,8 +913,11 @@ class _FoldedFamily:
         return _family_inputs(self.variant, self.m, self.n, g)
 
     def _limit(self, sigma, z) -> Rat:
-        """The product form of C_sigma over Q[t], as its exact limit t -> 0."""
-        fold_num, kernels, den = self._factors(sigma, z, *self._over_t)
+        """The product form of C_sigma over Q[t], as its exact limit t -> 0,
+        with the kernels of this z shared across sigma."""
+        if self._t_kernels[0] != z:
+            self._t_kernels = (z, {})
+        fold_num, kernels, den = self._factors(sigma, z, *self._over_t, self._t_kernels[1])
         return _limit_at_zero(prod(kernels, start=fold_num), prod(den))
 
 

@@ -14,12 +14,14 @@ expands against the *full* graded family and raises if anything leaks into
 lower degrees, turning invariance of the degree-n span into a tested
 postcondition.
 
-The suites expand only the generators L_{i,j} (``generator_matrix``); as each
-maps the level to itself, op -> matrix is a ring homomorphism on the algebra
-they generate.  So the matrix of a generator sum (M_j^+/-, the total L, the
-hats) is the same sum of generator matrices, and an identity among products
-of generators holds on the level once it holds for the operators: no suite
-multiplies matrices.
+Every operator comes from one table of the generators L_{i,j} per
+(d, gamma) (``diffops.generator_table``).  The suites expand a generator
+(``generator_matrix``) or a generator sum taken whole as one operator
+(M_j^+/- in ``m_matrix``, the hats of ``submodule_diagnostic``), each at most
+once per context.  As each generator maps the level to itself, op -> matrix
+is a ring homomorphism on the algebra they generate, so an identity among
+sums and products of generators holds on the level once it holds for the
+operators: no suite adds or multiplies matrices.
 
 Every verification below is an exact rational identity; a check result is
 pass, fail (with a counterexample payload), or degenerate (a difference
@@ -29,8 +31,9 @@ skipped).
 The operator identities (the kd relations, the F relation and the formal
 symmetry of the generators) depend on (d, gamma) alone.  Their verdicts are
 memoized per process under one size, ``OPERATOR_CACHE_SIZE``, so every level
-of one gamma after the first reuses them; the caches hold verdicts only, never
-operators or ``CheckResult`` objects.  kd checks the generating relations
+of one gamma after the first reuses them; these caches hold verdicts only,
+never operators or ``CheckResult`` objects (the generator table, of the same
+size, holds the operators).  kd checks the generating relations
 [L_ab, L_cd] = 0 (disjoint pairs) and [L_ab, L_ac + L_bc] = 0, from which every
 other commutation relation follows.  On a level, ``kd-matrix`` and
 ``f-relation`` build the generator matrices, which is the invariance premise,
@@ -47,8 +50,8 @@ from itertools import combinations
 from math import comb, gcd, lcm
 from typing import Callable, Sequence
 
-from .diffops import DiffOp, commutator, f_combination, jm_relations
-from .diffops import l_operator, m_operator, m_pairs, pair_counts
+from .diffops import OPERATOR_CACHE_SIZE, DiffOp, commutator, f_combination, generator_table
+from .diffops import jm_relations, m_operator, pair_counts, pair_sum
 from .errors import DegenerateParameter, ExactAlgebraError, InvariantViolation, RangeEscape
 from .jacobi import graded_indices, jacobi_simplex, level_indices, lex_lead
 from .linalg import ExactMatrix, SpanBasis
@@ -131,9 +134,10 @@ class ModuleContext:
     """Cached exact data for one cell (d, n, gamma): the graded family
     {P_mu : |mu| <= n}, the expansion of every monomial of degree <= n in
     it (built once, then checked: each P_mu must expand to its unit
-    vector), the generator matrices, from which the M_j^variant matrices are
-    summed, and the verdict of M_j P_mu = lambda_j(mu) P_mu on each level
-    |mu| <= n, which spectral and orthogonality share."""
+    vector), the matrices of the generators and of the summed operators
+    M_j^variant and hats, each expanded once under its name, and the verdict
+    of M_j P_mu = lambda_j(mu) P_mu on each level |mu| <= n, which spectral,
+    orthogonality and irreducibility share."""
 
     def __init__(self, d: int, n: int, gamma):
         self.d = d
@@ -238,22 +242,23 @@ class ModuleContext:
             self._matrices[name] = matrix
         return matrix
 
-    def generator_matrix(self, i: int, j: int) -> ExactMatrix:
-        name = f"L:{min(i, j)},{max(i, j)}"
-        if name in self._matrices:
-            return self._matrices[name]
-        return self.matrix_of(l_operator(i, j, self.d, self.gamma), name=name)
+    def _named(self, name: str, build: Callable[[], DiffOp]) -> ExactMatrix:
+        """The matrix cached under ``name``, or ``matrix_of(build())``."""
+        matrix = self._matrices.get(name)
+        return matrix if matrix is not None else self.matrix_of(build(), name=name)
 
-    def generator_sum(self, pairs) -> ExactMatrix:
-        """Sum of the generator matrices over the index pairs."""
-        size = len(self.level)
-        return sum((self.generator_matrix(i, j) for i, j in pairs), ExactMatrix.zeros(size, size))
+    def generator_matrix(self, i: int, j: int) -> ExactMatrix:
+        i, j = min(i, j), max(i, j)
+        return self._named(f"L:{i},{j}", lambda: generator_table(self.d, self.gamma)[i, j])
 
     def m_matrix(self, j: int, variant: str = "plain") -> ExactMatrix:
-        name = f"M{variant}:{j}"
-        if name not in self._matrices:
-            self._matrices[name] = self.generator_sum(m_pairs(j, self.d, variant))
-        return self._matrices[name]
+        """Matrix of M_j^variant, expanded from the summed operator."""
+        return self._named(f"M{variant}:{j}", lambda: m_operator(j, self.d, self.gamma, variant))
+
+    def hat_matrix(self, a: int) -> ExactMatrix:
+        """Matrix of L_{a,3} + ... + L_{a,d+1}, expanded from the summed operator."""
+        pairs = [(a, j) for j in range(3, self.d + 2)]
+        return self._named(f"hat:{a}", lambda: pair_sum(pairs, self.d, self.gamma))
 
     def all_generator_matrices(self) -> dict:
         return {
@@ -323,10 +328,6 @@ def verify_separation(ctx: ModuleContext) -> CheckResult:
     return CheckResult("separation", "pass", f"{len(ctx.level)} distinct eigenvalue tuples")
 
 
-#: Most (d, gamma) verdicts each operator-identity cache keeps per process.
-OPERATOR_CACHE_SIZE = 64
-
-
 def verify_kd(d: int, gamma) -> CheckResult:
     """The Kohno-Drinfeld relations among the generators, fully expanded: the
     generating relations, from which [M_i, M_j] = 0 follows."""
@@ -340,9 +341,7 @@ def _kd_verdict(d: int, params: ParamVector) -> tuple:
     Only the generating relations are checked: the form (j,k,i) of a triple is
     minus the sum of the forms (i,j,k) and (i,k,j), and each [M_i, M_j] is a
     sum of disjoint-pair and triple relations."""
-    ops = {
-        (i, j): l_operator(i, j, d, params) for i, j in combinations(range(1, d + 2), 2)
-    }
+    ops = generator_table(d, params)
     for (i, j), (k, l) in combinations(ops, 2):
         if len({i, j, k, l}) == 4:
             if not commutator(ops[(i, j)], ops[(k, l)]).is_zero():
@@ -435,7 +434,7 @@ def _f_verdict(d: int, gamma: ParamVector) -> tuple:
     choices = _f_index_choices(d)
     for i, j, k, l in choices:
         factor = (1 - gamma[k] ** 2) * (1 - gamma[l] ** 2)
-        if f_combination(i, j, k, l, d, gamma) != l_operator(i, j, d, gamma).scale(factor):
+        if f_combination(i, j, k, l, d, gamma) != generator_table(d, gamma)[i, j].scale(factor):
             return "fail", f"operator identity fails for (i,j,k,l)={(i, j, k, l)}"
     return "pass", f"{len(choices)} index choices"
 
@@ -505,8 +504,8 @@ def _symmetry_defect(op: DiffOp, gamma: ParamVector) -> str | None:
 def _asymmetric_generator(d: int, gamma: ParamVector) -> str | None:
     """Why the first generator that is not formally symmetric for the weight
     fails, or None when every one is; it does not depend on n."""
-    for i, j in combinations(range(1, d + 2), 2):
-        defect = _symmetry_defect(l_operator(i, j, d, gamma), gamma)
+    for (i, j), op in generator_table(d, gamma).items():
+        defect = _symmetry_defect(op, gamma)
         if defect:
             return f"L_({i},{j}) is not symmetric for the weight: {defect}"
     return None
@@ -557,27 +556,18 @@ def reachable_counts(matrices: Sequence[ExactMatrix], size: int) -> list:
 
 
 def irreducibility_check(ctx: ModuleContext) -> CheckResult:
-    """The paper's proof route.  The Jucys-Murphy sums M_j of the generator
-    matrices are diagonal with a simple joint spectrum, so a subspace that is
-    invariant under the generators (hence under every M_j) is spanned by basis
-    vectors.  The orbit of basis vector a is then spanned by the indices
-    reachable from a, and the level is irreducible when every index reaches
-    all of them.  Without that premise the check fails, naming it."""
+    """The paper's proof route.  M_j P_mu = lambda_j(mu) P_mu on the level
+    (the eigen verdict spectral shares) with a simple joint spectrum makes
+    the matrices of the Jucys-Murphy sums M_j diagonal with distinct
+    eigenvalue tuples, so a subspace that is invariant under the generators
+    (hence under every M_j) is spanned by basis vectors.  The orbit of basis
+    vector a is then spanned by the indices reachable from a, and the level
+    is irreducible when every index reaches all of them.  Without that
+    premise the check fails, naming it."""
+    premise = ctx.eigen_defect([ctx.n]) or _shared_spectrum(ctx.level, ctx.gamma)
+    if premise:
+        return CheckResult("irreducibility", "fail", f"premise fails: {premise}")
     size = len(ctx.level)
-    spectra = [()] * size
-    for j in range(ctx.d, 0, -1):
-        m_j = ctx.m_matrix(j)
-        if any(m_j[(a, b)] != 0 for a in range(size) for b in range(size) if a != b):
-            return CheckResult(
-                "irreducibility", "fail", f"premise fails: M_{j} is not diagonal on level {ctx.n}"
-            )
-        spectra = [(m_j[(a, a)],) + key for a, key in enumerate(spectra)]
-    if len(set(spectra)) != size:
-        return CheckResult(
-            "irreducibility",
-            "fail",
-            f"premise fails: the M_j do not separate the indices of level {ctx.n}",
-        )
     dims = reachable_counts(list(ctx.all_generator_matrices().values()), size)
     bad = [ctx.level[i] for i, dim in enumerate(dims) if dim != size]
     if bad:
@@ -678,8 +668,8 @@ def submodule_diagnostic(ctx: ModuleContext) -> CheckResult:
         raise InvariantViolation("plane block is not ordered like the 2-variable level")
     hats = [
         (ctx.generator_matrix(1, 2), hat_ctx.generator_matrix(1, 2)),
-        (ctx.generator_sum((1, j) for j in range(3, d + 2)), hat_ctx.generator_matrix(1, 3)),
-        (ctx.generator_sum((2, j) for j in range(3, d + 2)), hat_ctx.generator_matrix(2, 3)),
+        (ctx.hat_matrix(1), hat_ctx.generator_matrix(1, 3)),
+        (ctx.hat_matrix(2), hat_ctx.generator_matrix(2, 3)),
     ]
     for big, lower in hats:
         restricted = _restrict(big, rows)
@@ -698,10 +688,9 @@ def generator_rank(d: int, gamma) -> int:
     """Exact rank of the generators' expanded coefficient vectors
     {(derivative, monomial): coefficient}.  A second-order operator is fixed by
     its action on polynomials of degree <= 2, so this is their operator rank."""
-    params = require_valid(gamma, d)
     vectors = []
-    for i, j in combinations(range(1, d + 2), 2):
-        terms = l_operator(i, j, d, params).terms
+    for op in generator_table(d, require_valid(gamma, d)).values():
+        terms = op.terms
         vectors.append({(a, m): c for a, poly in terms.items() for m, c in poly.terms.items()})
     keys = sorted(set().union(*vectors))
     span = SpanBasis(len(keys))
@@ -720,8 +709,9 @@ _RELATION_FAILURES = {
 def verify_relations(ctx: ModuleContext) -> CheckResult:
     """Each row of ``jm_relations`` (recovery of every L_{i,j}, dependence,
     d = 3 closure) as an identity of index pairs, then the generator rank.
-    M_j^variant is the generator sum over ``m_pairs``, so a pair identity gives
-    the operator and matrix identities; the generators are independent for
+    M_j^variant is the sum of the table's generators over ``m_pairs`` and its
+    matrix is expanded from that sum, so a pair identity gives the operator
+    and matrix identities; the generators are independent for
     every gamma (L_{j,d+1} alone has x_j in its d_j^2 coefficient, L_{i,j},
     j <= d, alone a d_i d_j term), so the operator identity gives the pair one."""
     d = ctx.d

@@ -1,9 +1,12 @@
 import pytest
 
-from simplexalg import verify
+from simplexalg import diffops, verify
 
-# the per-process caches of n-independent verdicts, all of OPERATOR_CACHE_SIZE
-CACHES = (verify._kd_verdict, verify._f_verdict, verify._asymmetric_generator)
+# the per-process caches of n-independent operators and verdicts, all of
+# OPERATOR_CACHE_SIZE
+CACHES = (
+    diffops.generator_table, verify._kd_verdict, verify._f_verdict, verify._asymmetric_generator
+)
 
 
 @pytest.fixture

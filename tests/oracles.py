@@ -13,9 +13,10 @@ expansion oracles multiply by the inverse of the dense basis matrix, or peel
 the family off the remainder by forward substitution on rationals, instead
 of reading the integer inverse built one monomial at a time, the Fraction
 polynomial and its Jacobi family run every operation on rationals instead of
-on integer numerators over one denominator, the operator-matrix oracle
-expands each generator sum and product from its own differential operator
-instead of adding and multiplying generator matrices, the relations oracle
+on integer numerators over one denominator, the operator-matrix oracle adds
+the generator matrices of each generator sum instead of expanding the summed
+operator, and expands each product from its own differential operator
+instead of multiplying generator matrices, the relations oracle
 compares sums of Jucys-Murphy operators and matrices instead of counting index
 pairs, the rank oracle ranks the generators' actions on monomials instead of
 their coefficients, the total operator is built from its closed form
@@ -30,10 +31,11 @@ every level, and the kd oracle checks all three forms of each triple relation
 and every [M_i, M_j] instead of only the relations that generate them, and the
 reduced-fraction oracle builds the general Racah family as exact rational
 functions of z with removable factors cancelled by synthetic division
-instead of taking limits of its product form along gamma0 + t·v, and the
-numerator-first oracle makes a printed Racah summand 0 at any vanishing
-numerator factor instead of only at a structural one, so it also turns the
-0/0s that the library refuses into 0.
+instead of taking limits of its product form along gamma0 + t·v, the
+unshared limit builds every Q[t] kernel for its own sigma instead of reading
+the kernels of its column, and the numerator-first oracle makes a printed
+Racah summand 0 at any vanishing numerator factor instead of only at a
+structural one, so it also turns the 0/0s that the library refuses into 0.
 """
 
 import functools
@@ -429,6 +431,10 @@ class RingMatrix(ExactMatrix):
         return cls._raw(matrix.rows, matrix.cols, matrix.entries)
 
     @classmethod
+    def zeros(cls, rows: int, cols: int) -> "RingMatrix":
+        return cls([[0] * cols for _ in range(rows)])
+
+    @classmethod
     def from_columns(cls, columns) -> "RingMatrix":
         cols = [list(c) for c in columns]
         if not cols:
@@ -437,7 +443,8 @@ class RingMatrix(ExactMatrix):
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(rows)])
 
     def _entrywise(self, other: ExactMatrix, op) -> "RingMatrix":
-        self._check_shape(other)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
         rows = zip(self.entries, other.entries)
         return RingMatrix._raw(self.rows, self.cols, [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in rows])
 
@@ -702,24 +709,30 @@ def _f_operator(i: int, j: int, k: int, l: int, d: int, gamma: ParamVector):
     return f_combination(i, j, k, l, d, gamma)
 
 
+def generator_sum_oracle(ctx, pairs) -> "RingMatrix":
+    """The matrix of the generator sum over the index pairs on the level of
+    ``ctx``, as the entry-by-entry sum of the generator matrices."""
+    size = len(ctx.level)
+    matrices = (RingMatrix.of(ctx.generator_matrix(i, j)) for i, j in pairs)
+    return sum(matrices, RingMatrix.zeros(size, size))
+
+
 def operator_matrix_oracle(ctx, f_choices) -> dict:
     """Matrices on the level of ``ctx`` of the generator sums and products the
-    suites use, each expanded by ``ctx.matrix_of`` from its own operator:
-    ("M", j, variant) for M_j^variant, ("hat", a) for the hat operators of the
-    plane block (a = 1: L_{1,2}; a = 2, 3: L_{a-1,3} + ... + L_{a-1,d+1}),
-    ("F", i, j, k, l) for each index choice, and ("L",) for the total."""
+    suites use: ("M", j, variant) for M_j^variant and ("hat", a) for the hat
+    operators of the plane block (a = 1: L_{1,2}; a = 2, 3: L_{a-1,3} + ... +
+    L_{a-1,d+1}), each summed from the generator matrices; ("F", i, j, k, l)
+    for each index choice, expanded by ``ctx.matrix_of`` from its own
+    operator; and ("L",) for the total, expanded from its closed form."""
     d, gamma = ctx.d, ctx.gamma
     out = {("L",): ctx.matrix_of(l_total_closed_form(d, gamma))}
     for j in range(1, d + 1):
         for variant in ("plain", "plus", "minus"):
-            out[("M", j, variant)] = ctx.matrix_of(m_operator(j, d, gamma, variant))
+            out[("M", j, variant)] = generator_sum_oracle(ctx, m_pairs(j, d, variant))
     if d >= 3:
-        out[("hat", 1)] = ctx.matrix_of(l_operator(1, 2, d, gamma))
+        out[("hat", 1)] = ctx.generator_matrix(1, 2)
         for a in (1, 2):
-            hat = l_operator(a, 3, d, gamma)
-            for j in range(4, d + 2):
-                hat = hat + l_operator(a, j, d, gamma)
-            out[("hat", a + 1)] = ctx.matrix_of(hat)
+            out[("hat", a + 1)] = generator_sum_oracle(ctx, [(a, j) for j in range(3, d + 2)])
     for choice in f_choices:
         out[("F",) + choice] = ctx.matrix_of(_f_operator(*choice, d, gamma))
     return out
@@ -785,7 +798,7 @@ def relations_oracle(ctx) -> CheckResult:
     if not (m(1) - m(2) - m(2, "minus") + m(3, "minus") - m(d, "plus")).is_zero():
         return CheckResult("relations", "fail", "dependence identity fails")
     if d == 3:
-        total = RingMatrix.of(ctx.generator_sum(combinations(range(1, d + 2), 2)))
+        total = generator_sum_oracle(ctx, combinations(range(1, d + 2), 2))
         l234, l34 = RingMatrix.of(ctx.m_matrix(2)), RingMatrix.of(ctx.m_matrix(3))
         l134 = RingMatrix.of(ctx.m_matrix(2, "plus"))
         l123, l23 = RingMatrix.of(ctx.m_matrix(2, "minus")), RingMatrix.of(ctx.m_matrix(3, "minus"))
@@ -982,6 +995,13 @@ def folded_value(family, sigma, z) -> Rat:
         value -= last * (last + family.beta[family.m + 1]) + family.identity_const
         value += family.constant
     return value
+
+
+def unshared_limit(family, sigma, z) -> Rat:
+    """``family._limit(sigma, z)`` with every kernel over Q[t] built for this
+    sigma alone, instead of read from the kernels its column shares."""
+    fold_num, kernels, den = family._factors(sigma, z, *family._over_t)
+    return _limit_at_zero(prod(kernels, start=fold_num), prod(den))
 
 
 # -- printed Racah coefficients, numerator-first -----------------------------

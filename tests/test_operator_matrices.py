@@ -1,9 +1,9 @@
-"""Matrices of generator sums and products, added and multiplied from the
-generator matrices, against the oracle that expands each from its own
-differential operator; and the F relation and commutation checks, which
-report operator identities, against oracles that multiply the matrices."""
-
-from itertools import combinations
+"""Matrices of generator sums, expanded from the summed operator, against
+the oracle that adds the generator matrices; matrices of generator products,
+multiplied from the generator matrices, against the oracle that expands each
+from its own differential operator; and the F relation and commutation
+checks, which report operator identities, against oracles that multiply the
+matrices."""
 
 import pytest
 
@@ -32,6 +32,10 @@ FIXED = {
     "wrong-fail-b": (3, (Rat(1, 2), Rat(1, 2), Rat(-1, 2), Rat(-1, 2))),
 }
 
+# the other fault gammas of the benchmark's sweep, beside the three of FIXED:
+# the escape cells with gamma_2 + gamma_3 in {0, -1}
+FAULTS = ("-1/2,-5/2,5/2", "0,3/2,-3/2", "1,1/2,-1/2")
+
 CELLS = [
     pytest.param(d, n, sample_valid_gammas(seed, d, 1)[0], id=f"seeded-d{d}-n{n}")
     for d, n, seed in SEEDED
@@ -39,6 +43,9 @@ CELLS = [
     pytest.param(d, n, ParamVector(gamma), id=f"{name}-n{n}")
     for name, (d, gamma) in FIXED.items()
     for n in (1, 2)
+] + [
+    pytest.param(len(text.split(",")) - 1, 2, ParamVector.parse(text), id=f"fault{k}-n2")
+    for k, text in enumerate(FAULTS, 1)
 ]
 
 
@@ -48,16 +55,16 @@ def _f_choices(d: int) -> list:
 
 
 def _library_matrices(ctx) -> dict:
-    """The same keys as the oracle, by the library's route."""
+    """The same keys as the oracle, by the library's route: the total L is M_1."""
     d = ctx.d
-    out = {("L",): ctx.generator_sum(combinations(range(1, d + 2), 2))}
+    out = {("L",): ctx.m_matrix(1)}
     for j in range(1, d + 1):
         for variant in ("plain", "plus", "minus"):
             out[("M", j, variant)] = ctx.m_matrix(j, variant)
     if d >= 3:
         out[("hat", 1)] = ctx.generator_matrix(1, 2)
         for a in (1, 2):
-            out[("hat", a + 1)] = ctx.generator_sum((a, j) for j in range(3, d + 2))
+            out[("hat", a + 1)] = ctx.hat_matrix(a)
     generator = lambda a, b: RingMatrix.of(ctx.generator_matrix(a, b))
     for choice in _f_choices(d):
         out[("F",) + choice] = f_formula(generator, *choice, ctx.gamma)

@@ -1,5 +1,6 @@
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import simplexalg
@@ -43,6 +44,13 @@ def test_benchmark_reference_still_reaches_the_family_build():
     assert op.j == 2 and len(op.terms) == 9
 
 
+def test_no_suite_adds_matrices():
+    # every matrix a suite uses, M_j^variant and the hats included, is
+    # expanded from one operator: the package's matrices cannot be added
+    assert not hasattr(ExactMatrix, "__add__")
+    assert not hasattr(ExactMatrix, "zeros")
+
+
 def test_no_suite_builds_a_dense_inverse(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense elimination in a suite")
@@ -77,17 +85,22 @@ def test_no_suite_computes_an_inner_product(monkeypatch):
 
 
 def test_suites_expand_only_generator_matrices(monkeypatch):
-    # every other differential matrix is a sum or product of generator matrices
-    names = []
+    # the suites expand a generator, M_j^variant or a hat, each taken whole as
+    # one operator, at most once per name and context; every other identity
+    # follows from the operators
+    expanded = []
     expand = ModuleContext.matrix_of
 
     def recording(ctx, op, name=None):
-        names.append(name)
+        expanded.append((ctx, name))
         return expand(ctx, op, name)
 
     monkeypatch.setattr(ModuleContext, "matrix_of", recording)
     gamma = (Rat(1, 2), Rat(1, 3), Rat(1, 5), Rat(1, 7), Rat(1, 11))
     assert run_suites(3, 2, gamma[:4], SUITES, "strict").ok
     assert run_suites(4, 1, gamma, SUITES, "strict").ok
-    assert names
-    assert [name for name in names if not re.fullmatch(r"L:\d+,\d+", name or "")] == []
+    names = [name for _, name in expanded]
+    assert {name[0] for name in names} == {"L", "M", "h"}
+    pattern = r"L:\d+,\d+|M(plain|plus|minus):\d+|hat:\d+"
+    assert [name for name in names if not re.fullmatch(pattern, name or "")] == []
+    assert max(Counter((id(ctx), name) for ctx, name in expanded).values()) == 1

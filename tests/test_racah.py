@@ -21,6 +21,7 @@ from oracles import (
     racah_operator,
     sample_valid_gammas,
     shift_ops_equal,
+    unshared_limit,
 )
 from simplexalg import cli, racah
 from simplexalg.errors import DegenerateParameter, InvariantViolation
@@ -535,6 +536,30 @@ def test_limit_does_not_depend_on_the_direction(gamma, monkeypatch):
     other = tuple(Rat(p, q) for p, q in ((2, 5), (3, 13), (5, 17), (7, 29), (11, 37)))
     monkeypatch.setattr(racah, "_direction", lambda size: other[:size])
     assert matrices() == along_v
+
+
+@pytest.mark.parametrize(
+    "gamma", FAULT_GAMMAS + LIMIT_GAMMAS_4, ids=lambda g: ",".join(g.to_json())
+)
+def test_shared_limit_kernels_equal_the_unshared_ones(gamma, monkeypatch):
+    """Each limit a column takes, reading the Q[t] kernels that the sigmas of
+    its z share, equals the limit with every kernel built for its own sigma."""
+    taken = []
+    limit = racah._FoldedFamily._limit
+
+    def recorded(family, sigma, z):
+        value = limit(family, sigma, z)
+        taken.append((family, sigma, z, value))
+        return value
+
+    monkeypatch.setattr(racah._FoldedFamily, "_limit", recorded)
+    monkeypatch.setattr(racah, "_RACAH_CACHE", {})  # no column built before
+    for n in (1, 2):
+        for _, _, op in _general_ops(n, gamma):
+            op.matrix_on_level(n)
+    assert taken
+    for family, sigma, z, value in taken:
+        assert value == unshared_limit(family, sigma, z), (sigma, z)
 
 
 def test_limit_refuses_a_pole_and_a_vanishing_denominator():

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import simplexalg
-from simplexalg import cli, racah, verify
+from simplexalg import cli, diffops, racah, verify
 from simplexalg.cli import (
     EXIT_DEGENERATE,
     EXIT_FAIL,
@@ -148,7 +148,7 @@ def _raise(*args):
 def _clear_caches():
     """Forget every memoized result, so that what a run computes is called
     whatever ran before it in this process."""
-    for module in (verify, racah):
+    for module in (diffops, verify, racah):
         for value in vars(module).values():
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()

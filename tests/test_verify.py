@@ -260,7 +260,7 @@ def test_gram_check_and_oracle_reject_a_non_self_adjoint_operator(monkeypatch):
         def patched(i, j, d, g, mutant=mutant):
             return mutant if (i, j) == (1, 2) else l_operator(i, j, d, g)
 
-        monkeypatch.setattr(verify, "l_operator", patched)
+        monkeypatch.setattr(diffops, "l_operator", patched)
         result = verify_selfadjoint_orthogonal(ctx)
         assert (result.status, result.details) == (
             "fail",
@@ -299,41 +299,46 @@ def test_reachability_and_oracle_agree_on_a_reducible_set():
     assert orbit_closure_dimensions(matrices, 4) == [2, 2, 4, 4]
 
 
-def test_irreducibility_check_fails_without_its_premise():
-    # substitute at generator_matrix, the one source of the M_j matrices; a
-    # fresh context each time, since the M_j sums are cached per context
-    ctx = ModuleContext(2, 2, G_2)
-    size = len(ctx.level)
-    zero = ExactMatrix.zeros(size, size)
-    ctx.generator_matrix = lambda i, j: zero
-    result = irreducibility_check(ctx)
+def _doubled_generator(pair):
+    """``diffops.l_operator`` with L_pair doubled: every level stays invariant,
+    and every M_j whose pairs include it loses its eigenvalues."""
+    right = diffops.l_operator
+
+    def doubled(i, j, d, gamma):
+        op = right(i, j, d, gamma)
+        return op.scale(2) if (min(i, j), max(i, j)) == pair else op
+
+    return doubled
+
+
+def test_irreducibility_check_fails_without_its_premise(monkeypatch):
+    # the premise is the eigen verdict of the level, which spectral shares,
+    # then the simple joint spectrum; a fresh context each time, since the
+    # eigen verdicts are cached per context.  At a valid gamma the spectrum
+    # is always simple, so its failure is substituted.
+    def shared(indices, gamma):
+        return f"indices {indices[0]} and {indices[1]} share eigenvalues"
+
+    monkeypatch.setattr(verify, "_shared_spectrum", shared)
+    result = irreducibility_check(ModuleContext(2, 2, G_2))
     assert (result.status, result.details) == (
-        "fail", "premise fails: the M_j do not separate the indices of level 2"
+        "fail", "premise fails: indices (2, 0) and (1, 1) share eigenvalues"
     )
+    # a mutant put into the generator table reaches the premise through M_1
+    monkeypatch.setattr(diffops, "l_operator", _doubled_generator((2, 3)))
+    diffops.generator_table.cache_clear()  # built before the patch above
     ctx = ModuleContext(2, 2, G_2)
-    shift = ExactMatrix([[1 if c == r + 1 else 0 for c in range(size)] for r in range(size)])
-    ctx.generator_matrix = lambda i, j: shift if (i, j) == (2, 3) else zero
     result = irreducibility_check(ctx)
-    assert (result.status, result.details) == (
-        "fail", "premise fails: M_2 is not diagonal on level 2"
-    )
+    defect = "M_1 P_(1, 1) != lambda_1((1, 1)) P_(1, 1)"
+    assert (result.status, result.details) == ("fail", f"premise fails: {defect}")
+    assert verify_spectral(ctx).details == defect
 
 
 def test_irreducibility_premise_failure_is_a_failed_check(monkeypatch, capsys):
-    m_matrix = ModuleContext.m_matrix
-
-    def not_diagonal(ctx, j, variant="plain"):
-        matrix = m_matrix(ctx, j, variant)
-        if j != 1 or variant != "plain" or len(ctx.level) < 2:
-            return matrix
-        return matrix + ExactMatrix(
-            [[1 if (r, c) == (0, 1) else 0 for c in range(matrix.cols)] for r in range(matrix.rows)]
-        )
-
-    monkeypatch.setattr(ModuleContext, "m_matrix", not_diagonal)
+    monkeypatch.setattr(diffops, "l_operator", _doubled_generator((2, 3)))
     code = cli.main(["verify", "--gamma", "1/2,1/3,1/5", "--n", "2", "--suite", "irreducibility"])
     assert code == cli.EXIT_FAIL
-    assert "premise fails: M_1 is not diagonal on level 2" in capsys.readouterr().out
+    assert "premise fails: M_1 P_(1, 1) != lambda_1((1, 1)) P_(1, 1)" in capsys.readouterr().out
 
 
 @settings(max_examples=150, deadline=None)
@@ -421,7 +426,7 @@ def test_relations_catch_a_dependent_generator_family(monkeypatch):
             return l_operator(1, 3, d, gamma) + l_operator(2, 3, d, gamma)
         return l_operator(i, j, d, gamma)
 
-    monkeypatch.setattr(verify, "l_operator", dependent)
+    monkeypatch.setattr(diffops, "l_operator", dependent)
     monkeypatch.setattr(oracles, "l_operator", dependent)
     for d in (2, 3, 4):
         gamma = sample_valid_gammas(11, d, 1)[0]
@@ -441,7 +446,7 @@ def test_relations_build_no_operator_sum_and_no_matrix(monkeypatch):
 
     for owner in (diffops, verify):
         monkeypatch.setattr(owner, "m_operator", refuse)
-    monkeypatch.setattr(ModuleContext, "generator_sum", refuse)
+        monkeypatch.setattr(owner, "pair_sum", refuse)
     monkeypatch.setattr(ModuleContext, "matrix_of", refuse)
     monkeypatch.setattr(DiffOp, "__add__", refuse)
     for ctx in contexts:
@@ -532,6 +537,22 @@ def test_operator_identities_run_once_per_gamma(monkeypatch, fresh_caches):
     assert {d: kd_calls[d] - all_levels[d] for d in cells} == all_levels
 
 
+def test_a_second_run_on_one_gamma_builds_no_generator(monkeypatch, fresh_caches):
+    # every operator of every suite is read from the generator table of
+    # (d, gamma), so only the first run builds generators, each one once
+    calls = _counting(
+        monkeypatch, diffops, "l_operator", lambda i, j, d, gamma: (i, j, d, gamma.gamma)
+    )
+    gamma = sample_valid_gammas(67, 3, 1, positive=True)[0]
+    assert run_suites(3, 1, gamma, SUITES, "strict").ok
+    assert set(calls.values()) == {1}
+    assert {(i, j) for i, j, d, g in calls if d == 3} == set(combinations(range(1, 5), 2))
+    first = dict(calls)
+    for n in (1, 2):
+        assert run_suites(3, n, gamma, SUITES, "strict").ok
+        assert calls == first
+
+
 def test_wrong_f_operator_fails_alike_on_every_level(monkeypatch, fresh_caches):
     # wrong only for the second index choice: the first choice still passes,
     # and every level names the second
@@ -553,30 +574,26 @@ def test_wrong_f_operator_fails_alike_on_every_level(monkeypatch, fresh_caches):
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_f_factor_off_by_a_thousandth_fails(monkeypatch, d):
-    # (1-g_k^2)(1-g_l^2) L_ij times 1001/1000 on the right-hand side: the
-    # common-denominator comparison sees a relative error of 1/1000
-    right = verify.l_operator
+    # F times 1001/1000 on the left-hand side: the common-denominator
+    # comparison sees a relative error of 1/1000
+    right = verify.f_combination
     gamma = G_3 if d == 3 else sample_valid_gammas(66, 4, 1)[0]
     assert verify._f_verdict.__wrapped__(d, gamma)[0] == "pass"
 
-    def off(i, j, dim, params):
-        return right(i, j, dim, params).scale(Rat(1001, 1000))
+    def off(i, j, k, l, dim, params):
+        return right(i, j, k, l, dim, params).scale(Rat(1001, 1000))
 
-    monkeypatch.setattr(verify, "l_operator", off)
+    monkeypatch.setattr(verify, "f_combination", off)
     assert verify._f_verdict.__wrapped__(d, gamma) == (
         "fail", f"operator identity fails for (i,j,k,l)={(2, 3, 1, d + 1)}"
     )
 
 
 def test_kd_operator_mutant_fails_kd_and_kd_matrix_on_every_level(monkeypatch):
-    # 2 L_{1,2} keeps every level invariant but breaks [L_{1,3}, L_{1,2}+L_{2,3}] = 0
-    right = verify.l_operator
-
-    def doubled(i, j, d, gamma):
-        op = right(i, j, d, gamma)
-        return op.scale(2) if {i, j} == {1, 2} else op
-
-    monkeypatch.setattr(verify, "l_operator", doubled)
+    # 2 L_{1,2} keeps every level invariant but breaks [L_{1,3}, L_{1,2}+L_{2,3}] = 0;
+    # put into the generator table, it reaches the operator verdicts and the
+    # matrices the oracle multiplies alike
+    monkeypatch.setattr(diffops, "l_operator", _doubled_generator((1, 2)))
     gamma = sample_valid_gammas(65, 3, 1, positive=True)[0]
     kd_details = "[L_(1, 3), L_(1, 2)+L_(3, 2)] != 0"
     for n in (1, 2, 3):
@@ -610,7 +627,9 @@ def test_caches_stay_within_their_sizes(monkeypatch, fresh_caches):
     for gamma in sample_valid_gammas(64, 2, size + 10, positive=True):
         assert verify_kd(2, gamma).status == "pass"
         assert verify_selfadjoint_orthogonal(ModuleContext(2, 0, gamma)).status == "pass"
-    for cache in (verify._f_verdict, verify._kd_verdict, verify._asymmetric_generator):
+    for cache in (
+        diffops.generator_table, verify._f_verdict, verify._kd_verdict, verify._asymmetric_generator
+    ):
         info = cache.cache_info()
         assert info.maxsize == size
         assert info.currsize == size
@@ -645,8 +664,9 @@ def test_kd_verdict_and_relations_oracle_reject_the_same_mutants(monkeypatch, d)
             op = l_operator(i, j, dim, params)
             return change(op) if (min(i, j), max(i, j)) == pair else op
 
-        monkeypatch.setattr(verify, "l_operator", mutant)
+        monkeypatch.setattr(diffops, "l_operator", mutant)
         monkeypatch.setattr(oracles, "l_operator", mutant)
+        diffops.generator_table.cache_clear()  # the table holds the last mutant
         verdict = verify._kd_verdict.__wrapped__(d, gamma)
         assert verdict[0] == "fail"
         assert verdict == oracles.kd_relations_oracle(d, gamma)
