@@ -43,6 +43,10 @@ EXIT_DEGENERATE = 4
 EXIT_INTERNAL = 5
 
 
+#: operator name head -> the variant of M_j it names
+M_VARIANTS = {"M": "plain", "M+": "plus", "M-": "minus"}
+
+
 class UsageError(Exception):
     pass
 
@@ -97,9 +101,8 @@ def build_operator(name: str, d: int, n: int, gamma: ParamVector):
         try:
             if head == "L" and len(indices) == 2:
                 return l_operator(indices[0], indices[1], d, gamma)
-            if head in ("M", "M+", "M-") and len(indices) == 1:
-                variant = {"M": "plain", "M+": "plus", "M-": "minus"}[head]
-                return m_operator(indices[0], d, gamma, variant)
+            if head in M_VARIANTS and len(indices) == 1:
+                return m_operator(indices[0], d, gamma, M_VARIANTS[head])
             if head == "F" and len(indices) == 4:
                 return f_combination(*indices, d, gamma)
             if head in ("R+", "R-") and len(indices) == 1:
@@ -128,8 +131,12 @@ def cmd_matrix(args) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    head, _, tail = args.op.partition(":")
     if isinstance(op, RacahOp):
         matrix = op.matrix_on_level(args.n)  # main reports a DegenerateParameter
+    elif head in M_VARIANTS:  # one builder of the M_j^variant matrices
+        ctx = ModuleContext(args.d, args.n, gamma)
+        matrix = ctx.m_matrix(parse_int_list(tail)[0], M_VARIANTS[head])
     else:
         matrix = ModuleContext(args.d, args.n, gamma).matrix_of(op)
     payload = {

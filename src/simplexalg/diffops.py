@@ -69,7 +69,7 @@ def _derive(nums: dict, delta: tuple) -> list:
     return out
 
 
-def _leibniz(p_nums: dict, q_nums: dict, dim: int, full: bool = True) -> dict:
+def _leibniz(p_nums: dict, q_nums: dict, dim: int, full: bool = True, derived=None) -> dict:
     """Numerators of p o q by the Leibniz rule, in one pass,
 
         p d^alpha o q d^beta
@@ -77,8 +77,10 @@ def _leibniz(p_nums: dict, q_nums: dict, dim: int, full: bool = True) -> dict:
 
     where every term is an integer weight times one numerator of p and one
     of q.  With ``full`` false only delta = alpha is taken: when q is a
-    polynomial (beta = 0 only), that is the order-0 part, p applied to q."""
-    derived: dict = {}
+    polynomial (beta = 0 only), that is the order-0 part, p applied to q.
+    ``derived`` {delta: d^delta q} is read and filled, so a caller that
+    passes one dict for one q differentiates it once per delta."""
+    derived = {} if derived is None else derived
     accumulators: dict = {}
     for alpha, p in p_nums.items():
         p_items = list(p.items())
@@ -240,10 +242,12 @@ class DiffOp:
                 out[deriv] = acc
         return DiffOp._canonical(self.dim, self.den * other.den, out, top)
 
-    def apply(self, poly: MultiPoly) -> MultiPoly:
+    def apply(self, poly: MultiPoly, derivatives: dict | None = None) -> MultiPoly:
         """The polynomial self(poly): poly's integer numerators differentiated
         by falling factorials and multiplied by the operator's, over
-        den(self) * den(poly); no ``Rat`` is made."""
+        den(self) * den(poly); no ``Rat`` is made.  ``derivatives``, a dict
+        kept for this one poly, caches its derivatives, so every operator
+        applied to poly with that dict shares each d^alpha poly."""
         if poly.dim != self.dim:
             raise DimensionMismatch(f"operator dim {self.dim}, polynomial dim {poly.dim}")
         dim = self.dim
@@ -251,7 +255,7 @@ class DiffOp:
         if top > FIELD_MAX:
             top = self.top + max(_degrees(poly.nums, dim), default=0)
             _check_fields(top, "an exponent of the image")
-        image = _leibniz(self.nums, {0: poly.nums}, dim, full=False).get(0, {})
+        image = _leibniz(self.nums, {0: poly.nums}, dim, False, derivatives).get(0, {})
         nums = {e: n for e, n in image.items() if n}
         return MultiPoly._canonical(dim, self.den * poly.den, nums, top)
 
@@ -311,9 +315,11 @@ def l_operator(i: int, j: int, d: int, gamma) -> DiffOp:
     return DiffOp(d, {tuple(2 * a for a in ei): quad, tuple(ei): lin})
 
 
-#: Most (d, gamma) entries each per-process operator cache keeps: the
-#: generator table here and the operator verdicts of ``verify``.
-OPERATOR_CACHE_SIZE = 64
+#: Most (d, gamma) entries each per-process cache keeps: the generator table
+#: here, the Jacobi factors of ``jacobi``, and the operator verdicts and the
+#: family store of ``verify``.  Every reuse on the CLI paths is within one
+#: (d, gamma) group of cells, so a few entries keep every hit.
+OPERATOR_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=OPERATOR_CACHE_SIZE)

@@ -32,9 +32,11 @@ monomial in it be built one monomial at a time (``verify.ModuleContext``).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
+from .diffops import OPERATOR_CACHE_SIZE
 from .errors import InvalidParameter, InvariantViolation
 from .params import ParamVector, check_jacobi_params, require_valid
 from .poly import MultiPoly, _pack, _unpack
@@ -70,6 +72,7 @@ def jacobi_simplex(nu: Sequence[int], gamma) -> MultiPoly:
     if len(nu) != d or any(v < 0 for v in nu):
         raise ValueError(f"degree index {nu} must have {d} nonnegative entries")
 
+    factors = _factor_table(params)
     result = MultiPoly.const(d, 1)
     for k in range(1, d + 1):
         n_k = nu[k - 1]
@@ -80,20 +83,37 @@ def jacobi_simplex(nu: Sequence[int], gamma) -> MultiPoly:
             raise InvalidParameter(f"factor {k}: " + "; ".join(violations))
         if n_k == 0:
             continue
-        # s = 1 - x_1 - ... - x_{k-1}; factor = sum_i c_i s^(n_k-i) (s - x_k)^i,
-        # summed on the integers c_i·q over q, the lcm of the c_i's denominators
-        coeffs = jacobi1d_coeffs(n_k, alpha, beta)
-        q = lcm(*(c.denominator for c in coeffs))
-        s = MultiPoly.const(d, 1)
-        for i in range(k - 1):
-            s = s - MultiPoly.variable(d, i)
-        s_minus_x = s - MultiPoly.variable(d, k - 1)
-        factor = MultiPoly.zero(d)
-        for i, c in enumerate(coeffs):
-            term = s ** (n_k - i) * s_minus_x ** i
-            factor = factor + term.scale(c.numerator * (q // c.denominator))
-        result = result * factor.scale(Rat(1, q))
+        # alpha depends on nu only through |nu_{>k}|
+        key = (k, n_k, sum(nu[k:]))
+        factor = factors.get(key)
+        if factor is None:
+            factor = factors[key] = _factor(d, k, n_k, alpha, beta)
+        result = result * factor
     return result
+
+
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
+def _factor_table(params: ParamVector) -> dict:
+    """{(k, nu_k, |nu_{>k}|): factor k of P_nu} for one gamma, filled as the
+    P_nu are built, so that the members of a family share their factors."""
+    return {}
+
+
+def _factor(d: int, k: int, n_k: int, alpha, beta) -> MultiPoly:
+    """s^n_k p_{n_k}^(alpha, beta)(2 x_k / s - 1) with s = 1 - x_1 - ... - x_{k-1}:
+    sum_i c_i s^(n_k-i) (s - x_k)^i, summed on the integers c_i·q over q,
+    the lcm of the c_i's denominators."""
+    coeffs = jacobi1d_coeffs(n_k, alpha, beta)
+    q = lcm(*(c.denominator for c in coeffs))
+    s = MultiPoly.const(d, 1)
+    for i in range(k - 1):
+        s = s - MultiPoly.variable(d, i)
+    s_minus_x = s - MultiPoly.variable(d, k - 1)
+    factor = MultiPoly.zero(d)
+    for i, c in enumerate(coeffs):
+        term = s ** (n_k - i) * s_minus_x ** i
+        factor = factor + term.scale(c.numerator * (q // c.denominator))
+    return factor.scale(Rat(1, q))
 
 
 def lex_lead(nu: Sequence[int], poly: MultiPoly) -> Rat:

@@ -238,6 +238,23 @@ class MultiPoly:
         nums = {e: n * factor for e, n in self.nums.items()}
         return MultiPoly._canonical(self.dim, self.den * value.denominator, nums, self.top)
 
+    @classmethod
+    def combination(cls, dim: int, pairs) -> "MultiPoly":
+        """The sum of c * p over the (scalar c, polynomial p) ``pairs``, in one
+        pass on integers over the lcm of the denominators den(c) * den(p)."""
+        pairs = [(as_rat(c), p) for c, p in pairs]
+        den = lcm(*(c.denominator * p.den for c, p in pairs))
+        out: dict = {}
+        get = out.get
+        for c, p in pairs:
+            if p.dim != dim:
+                raise DimensionMismatch(f"a polynomial in {p.dim} variables, expected {dim}")
+            weight = c.numerator * (den // (c.denominator * p.den))
+            for e, n in p.nums.items():
+                out[e] = get(e, 0) + weight * n
+        nums = {e: n for e, n in out.items() if n}
+        return cls._canonical(dim, den, nums, max((p.top for _, p in pairs), default=0))
+
     def __truediv__(self, value) -> "MultiPoly":
         """Division by a nonzero scalar."""
         return self.scale(1 / as_rat(value))

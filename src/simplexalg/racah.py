@@ -40,7 +40,8 @@ nu) at a time: ``_family_inputs`` builds beta, the g(nu) fold and the
 factors b_i from gamma, and ``_FoldedFamily.column`` tabulates the kernels
 and denominators of every sign at z(nu) as integers (scaled by powers of
 the lcm of gamma's denominators), then walks the sign patterns prefix by
-prefix, multiplying table entries, and makes one rational per pattern.
+prefix, multiplying table entries, and makes one rational per pattern
+whose numerator is nonzero.
 Every matrix entry is a rational function of gamma that is regular at a
 valid gamma0.  Wherever no factor of the unreduced denominator vanishes,
 that walk gives the entry.  Where one vanishes, ``_FoldedFamily._factors``
@@ -63,7 +64,7 @@ from .jacobi import level_indices
 from .linalg import ExactMatrix
 from .params import require_valid
 from .poly import MultiPoly
-from .scalar import Rat, as_rat, rat_str
+from .scalar import ZERO, Rat, as_rat, rat_str
 
 # ---------------------------------------------------------------------------
 # exact fractions with univariate-linear denominators
@@ -427,7 +428,8 @@ class RacahOp:
                         f"{self.name}: nonzero coefficient {rat_str(value)} escapes the "
                         f"range at nu={nu}, shift {term.shift}"
                     )
-                entries[index[target]][col] += value
+                row = entries[index[target]]
+                row[col] = row[col] + value if row[col] else value
         return ExactMatrix._raw(size, size, entries)
 
 
@@ -777,9 +779,9 @@ class _FoldedFamily:
     denominator table of 4D²·b_k^{|s|}; the fold's numerator and
     denominator are scaled by D.  ``column`` extends every sign prefix by
     one sign at a time, carrying its numerator and denominator products,
-    and makes one ``Rat`` per sigma, fold_num·ΠK·(4D²)^m over
-    fold_den·Πb·(2D²)^{m+1}.  On the zero shift it subtracts the identity
-    term and adds the plus variant's constant.
+    and makes one ``Rat`` per sigma whose numerator is nonzero,
+    fold_num·ΠK·(4D²)^m over fold_den·Πb·(2D²)^{m+1}.  On the zero shift it
+    subtracts the identity term and adds the plus variant's constant.
 
     Where a denominator entry (a b_k or the fold's) vanishes, the
     denominator product is 0 and ``_limit`` takes over for that sigma:
@@ -835,10 +837,10 @@ class _FoldedFamily:
             dens = [q * b for q in dens for b in row]
         last = links[m]
         p, q = self.scale
-        column = [
-            Rat(num * last[i % 3][0] * p, den * q) if den else None
-            for i, (num, den) in enumerate(zip(nums, dens))
-        ]
+        column = []
+        for i, (num, den) in enumerate(zip(nums, dens)):
+            num *= last[i % 3][0]
+            column.append(None if not den else Rat(num * p, den * q) if num else ZERO)
         for i, den in enumerate(dens):
             if not den:
                 column[i] = self._limit(self._patterns[i], z)

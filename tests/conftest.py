@@ -1,11 +1,16 @@
 import pytest
 
-from simplexalg import diffops, verify
+from simplexalg import diffops, jacobi, verify
 
-# the per-process caches of n-independent operators and verdicts, all of
-# OPERATOR_CACHE_SIZE
+# the per-process caches of n-independent operators, verdicts, Jacobi
+# factors and (d, gamma) stores, all of OPERATOR_CACHE_SIZE
 CACHES = (
-    diffops.generator_table, verify._kd_verdict, verify._f_verdict, verify._asymmetric_generator
+    diffops.generator_table,
+    verify._kd_verdict,
+    verify._f_verdict,
+    verify._asymmetric_generator,
+    verify.gamma_store,
+    jacobi._factor_table,
 )
 
 

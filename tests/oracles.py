@@ -35,7 +35,10 @@ instead of taking limits of its product form along gamma0 + t·v, the
 unshared limit builds every Q[t] kernel for its own sigma instead of reading
 the kernels of its column, and the numerator-first oracle makes a printed
 Racah summand 0 at any vanishing numerator factor instead of only at a
-structural one, so it also turns the 0/0s that the library refuses into 0.
+structural one, so it also turns the 0/0s that the library refuses into 0,
+and the racah matrix oracle expands M_j^+/- on the level and compares
+matrices instead of checking M_j^+/- P_nu = sum_mu R[mu, nu] P_mu as an
+identity of polynomials.
 """
 
 import functools
@@ -59,6 +62,7 @@ from simplexalg.errors import (
     DimensionMismatch,
     InvalidParameter,
     InvariantViolation,
+    RangeEscape,
 )
 from simplexalg.jacobi import a_param, graded_indices, jacobi1d_coeffs, jacobi_simplex, lex_lead
 from simplexalg.linalg import ExactMatrix, SpanBasis
@@ -67,7 +71,7 @@ from simplexalg.params import ParamVector, check_gamma, check_jacobi_params, req
 from simplexalg.poly import MultiPoly
 from simplexalg.racah import ZFraction, ZShiftOp, _limit_at_zero, _racah_operator_cached
 from simplexalg.scalar import ONE, Rat, as_rat, rat_str
-from simplexalg.verify import CheckResult, ModuleInvarianceError, _f_index_choices
+from simplexalg.verify import CheckResult, ModuleInvarianceError, _f_index_choices, _racah_pairs
 
 
 # -- what only the oracles and the tests use of polynomials and matrices ----
@@ -860,6 +864,28 @@ def matrix_commutation_oracle(ctx) -> CheckResult:
                     "kd-matrix", "fail", f"[L_({i},{j}), L_({k},{l})] != 0 on the module"
                 )
     return CheckResult("kd-matrix", "pass", "matrix commutation relations hold")
+
+
+def racah_matrix_oracle(ctx) -> CheckResult:
+    """The racah check by matrices: expand M_j^variant on the level of
+    ``ctx`` and compare it with the difference operator's matrix, pair by
+    pair, with the library's pairs, verdicts and details.  An M_j^variant
+    that leaks below degree n raises ModuleInvarianceError here."""
+    pairs = _racah_pairs(ctx)
+    degenerate = []
+    for label, (j, variant), racah_op in pairs:
+        try:
+            racah_matrix = racah_op.matrix_on_level(ctx.n)
+        except DegenerateParameter as exc:
+            degenerate.append(f"{label}: {exc}")
+            continue
+        except RangeEscape as exc:
+            return CheckResult("racah", "fail", f"{label}: {exc}")
+        if ctx.m_matrix(j, variant) != racah_matrix:
+            return CheckResult("racah", "fail", f"{label} matrices differ on level {ctx.n}")
+    if degenerate:
+        return CheckResult("racah", "degenerate", "; ".join(degenerate))
+    return CheckResult("racah", "pass", f"difference = differential for {len(pairs)} operators")
 
 
 def kd_relations_oracle(d: int, gamma) -> tuple:

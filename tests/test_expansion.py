@@ -24,7 +24,7 @@ from simplexalg.jacobi import graded_indices, jacobi_simplex, lex_lead
 from simplexalg.params import ParamVector, check_gamma
 from simplexalg.poly import MultiPoly, _pack
 from simplexalg.scalar import Rat
-from simplexalg.verify import ModuleContext, verify_difference_action
+from simplexalg.verify import ModuleContext, submodule_diagnostic, verify_difference_action
 
 RECIPROCAL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -77,27 +77,36 @@ def test_lex_lead_rejects_a_polynomial_without_the_triangular_lead():
 
 
 def test_context_build_raises_when_a_member_misses_its_unit_vector(monkeypatch):
-    # a wrong lead while the inverse is built leaves half of P_(1,1) behind
+    # a wrong lead while the inverse is built leaves half of P_(1,1) behind;
+    # the inverse and its check are built on the first expansion
     lead = verify.lex_lead
 
     def doubled(nu, poly):
         return lead(nu, poly) * (2 if nu == (1, 1) else 1)
 
     monkeypatch.setattr(verify, "lex_lead", doubled)
+    ctx = ModuleContext(2, 2, ParamVector([Rat(1, 2), Rat(1, 3), Rat(1, 5)]))
     with pytest.raises(InvariantViolation, match=r"P_\(1, 1\) does not expand to its unit vector"):
-        ModuleContext(2, 2, ParamVector([Rat(1, 2), Rat(1, 3), Rat(1, 5)]))
+        ctx.generator_matrix(1, 2)
+    with pytest.raises(InvariantViolation, match="unit vector"):
+        ctx.expand(ctx.polys[(0, 0)])  # a failed check leaves no inverse behind
 
 
-def test_a_wrong_inverse_entry_makes_racah_fail():
+def test_a_wrong_inverse_entry_makes_submodules_fail():
+    # racah expands nothing, so the wrong entry shows in a suite that
+    # expands: the submodule blocks compare generator matrices entry by entry
     gamma = sample_valid_gammas(27, 3, 1, positive=True)[0]
-    assert verify_difference_action(ModuleContext(3, 2, gamma)).status == "pass"
+    ctx = ModuleContext(3, 2, gamma)
+    assert submodule_diagnostic(ctx).status == "pass"
     ctx = ModuleContext(3, 2, gamma)
     alpha = ctx.level[0]  # x^(2,0,0): its own row is a row of the level
+    ctx.expand(ctx.polys[alpha])  # builds the inverse
     row = ctx.graded.index(alpha)
     column = ctx._inverse[_pack(alpha)]
     column[:] = [(i, v + 1 if i == row else v) for i, v in column]
-    result = verify_difference_action(ctx)
+    result = submodule_diagnostic(ctx)
     assert result.status == "fail", result
+    assert verify_difference_action(ctx).status == "pass"
 
 
 @settings(max_examples=40, deadline=None)

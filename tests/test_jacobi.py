@@ -1,8 +1,17 @@
+from collections import Counter
 from math import comb
 
 import pytest
 
-from oracles import RingMatrix, coordinates, jacobi1d, three_var_reference, two_var_reference
+from oracles import (
+    RingMatrix,
+    coordinates,
+    jacobi1d,
+    jacobi_simplex_oracle,
+    three_var_reference,
+    two_var_reference,
+)
+from simplexalg import jacobi
 from simplexalg.errors import InvalidParameter
 from simplexalg.jacobi import (
     a_param,
@@ -156,3 +165,24 @@ def test_graded_family_has_full_rank():
             col[index[e]] = c
         columns.append(col)
     assert RingMatrix.from_columns(columns).rank() == comb(n + 3, 3)
+
+
+def test_family_members_share_their_factors(monkeypatch):
+    # factor k of P_nu depends on gamma, k, nu_k and |nu_{>k}| alone, so one
+    # gamma builds each factor once, whichever member needs it first
+    built = Counter()
+    factor = jacobi._factor
+
+    def counted(d, k, n_k, alpha, beta):
+        built[(k, n_k, alpha)] += 1
+        return factor(d, k, n_k, alpha, beta)
+
+    monkeypatch.setattr(jacobi, "_factor", counted)
+    gamma = GAMMAS_3[2]
+    for nu in graded_indices(3, 3):
+        assert dict(jacobi_simplex(nu, gamma).terms) == jacobi_simplex_oracle(nu, gamma).terms, nu
+    keys = {
+        (k, nu[k - 1], sum(nu[k:])) for nu in graded_indices(3, 3) for k in (1, 2, 3) if nu[k - 1]
+    }
+    assert set(built.values()) == {1}
+    assert len(built) == len(keys)

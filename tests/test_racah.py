@@ -18,14 +18,17 @@ from oracles import (
     fractions_equal,
     involution_image,
     numerator_first_value,
+    racah_matrix_oracle,
     racah_operator,
     sample_valid_gammas,
     shift_ops_equal,
     unshared_limit,
 )
-from simplexalg import cli, racah
+from simplexalg import cli, racah, verify
+from simplexalg.diffops import DiffOp
 from simplexalg.errors import DegenerateParameter, InvariantViolation
 from simplexalg.jacobi import level_indices
+from simplexalg.linalg import ExactMatrix
 from simplexalg.params import ParamVector
 from simplexalg.poly import MultiPoly
 from simplexalg.racah import (
@@ -50,7 +53,12 @@ from simplexalg.racah import (
     _link,
 )
 from simplexalg.scalar import Rat
-from simplexalg.verify import ModuleContext, run_suites, verify_difference_action
+from simplexalg.verify import (
+    ModuleContext,
+    ModuleInvarianceError,
+    run_suites,
+    verify_difference_action,
+)
 
 G0_2 = ParamVector([0, 0, 0])
 G0_3 = ParamVector([0, 0, 0, 0])
@@ -689,6 +697,111 @@ def test_column_table_mutants_fail_the_racah_check(gamma, monkeypatch):
         patch.setattr(racah._FoldedFamily, "_tables", perturbed)
         assert verify_difference_action(ctx).status == "fail"
     assert verify_difference_action(ctx).status == "pass"
+
+
+# -- the racah check as polynomial identities, against the matrix oracle -----
+
+
+def _agreement_cells():
+    cells = []
+    for d, levels in ((2, range(4)), (3, range(3)), (4, (1, 2)), (5, (2,))):
+        cells += [(gamma, n) for gamma in sample_valid_gammas(40 + d, d, 2) for n in levels]
+    cells += [(gamma, n) for gamma in FAULT_GAMMAS for n in range(4)]
+    return cells + [(gamma, n) for gamma in LIMIT_GAMMAS_4 for n in (1, 2)]
+
+
+def _cell_id(value):
+    return ",".join(value.to_json()) if isinstance(value, ParamVector) else str(value)
+
+
+@pytest.mark.parametrize("gamma, n", _agreement_cells(), ids=_cell_id)
+def test_identity_route_agrees_with_the_matrix_oracle(gamma, n):
+    ctx = ModuleContext(gamma.d, n, gamma)
+    result = verify_difference_action(ctx)
+    expected = racah_matrix_oracle(ModuleContext(gamma.d, n, gamma))
+    assert (result.status, result.details) == (expected.status, expected.details)
+    assert ctx._inverse is None  # the identity expands nothing
+
+
+def _with_wrong_entry(monkeypatch, name):
+    """Make ``matrix_on_level`` of the operator ``name`` add 1 to entry (0, 0)."""
+    original = RacahOp.matrix_on_level
+
+    def wrong(op, n):
+        matrix = original(op, n)
+        if op.name != name:
+            return matrix
+        entries = [list(row) for row in matrix.entries]
+        entries[0][0] += 1
+        return ExactMatrix(entries)
+
+    monkeypatch.setattr(RacahOp, "matrix_on_level", wrong)
+
+
+@pytest.mark.parametrize(
+    "gamma, name, label",
+    [
+        (G_2, "B12", "L12=B12"),
+        (G_2, "R+:2", "M+:2=R+:2"),
+        (G_3, "B134", "L134=B134"),
+        (G_3, "R-:2", "M-:2=R-:2"),
+        (G_3, "R-:3", "M-:3=R-:3"),
+        (sample_valid_gammas(45, 4, 1)[0], "R+:4", "M+:4=R+:4"),
+    ],
+    ids=_cell_id,
+)
+def test_a_wrong_racah_entry_fails_with_the_oracle_details(gamma, name, label, monkeypatch):
+    _with_wrong_entry(monkeypatch, name)
+    ctx = ModuleContext(gamma.d, 2, gamma)
+    result, expected = verify_difference_action(ctx), racah_matrix_oracle(ctx)
+    assert (result.status, result.details) == ("fail", f"{label} matrices differ on level 2")
+    assert (expected.status, expected.details) == (result.status, result.details)
+
+
+def test_a_leaking_m_j_term_fails_racah(monkeypatch):
+    # d_1 lowers the degree: the identity fails where the matrix route
+    # cannot even form the matrix
+    right = verify.m_operator
+
+    def leaking(j, d, gamma, variant="plain"):
+        op = right(j, d, gamma, variant)
+        return op + DiffOp(d, {(1,) + (0,) * (d - 1): 1}) if (j, variant) == (2, "plus") else op
+
+    monkeypatch.setattr(verify, "m_operator", leaking)
+    ctx = ModuleContext(3, 2, G_3)
+    result = verify_difference_action(ctx)
+    assert (result.status, result.details) == ("fail", "L134=B134 matrices differ on level 2")
+    with pytest.raises(ModuleInvarianceError):
+        racah_matrix_oracle(ctx)
+
+
+def test_a_degenerate_operator_with_a_wrong_entry_reads_degenerate(monkeypatch):
+    # B123's matrix cannot be formed at gamma = 0, so nothing of it is
+    # compared; the same wrong coefficient fails where the matrix exists
+    class OffByOne:
+        def __init__(self, coef):
+            self.coef = coef
+
+        def eval(self, nu):
+            return self.coef.eval(nu) + 1
+
+    right = verify.b123_operator
+
+    def wrong(gamma):
+        op = right(gamma)
+        terms = [
+            RacahTerm(t.shift, OffByOne(t.coef)) if not any(t.shift) else t for t in op.terms
+        ]
+        return RacahOp(op.d, op.name, terms)
+
+    plain = verify_difference_action(ModuleContext(3, 2, G0_3))
+    monkeypatch.setattr(verify, "b123_operator", wrong)
+    wrong_at_g3 = verify_difference_action(ModuleContext(3, 2, G_3))
+    assert (wrong_at_g3.status, wrong_at_g3.details) == ("fail", "L123=B123 matrices differ on level 2")
+    ctx = ModuleContext(3, 2, G0_3)
+    result = verify_difference_action(ctx)
+    assert (result.status, result.details) == ("degenerate", plain.details)
+    assert racah_matrix_oracle(ctx).details == plain.details
 
 
 # beta shifted by 1/11, which no multiple of gamma's denominators (lcm 210)

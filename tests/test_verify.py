@@ -16,10 +16,10 @@ from oracles import (
     sample_valid_gammas,
     selfadjoint_orthogonal_oracle,
 )
-from simplexalg import cli, diffops, verify
+from simplexalg import cli, diffops, jacobi, verify
 from simplexalg.diffops import DiffOp, l_operator
 from simplexalg.errors import InvalidParameter
-from simplexalg.jacobi import level_indices
+from simplexalg.jacobi import graded_indices, level_indices
 from simplexalg.linalg import ExactMatrix
 from simplexalg.params import ParamVector, check_gamma
 from simplexalg.poly import MultiPoly
@@ -313,9 +313,8 @@ def _doubled_generator(pair):
 
 def test_irreducibility_check_fails_without_its_premise(monkeypatch):
     # the premise is the eigen verdict of the level, which spectral shares,
-    # then the simple joint spectrum; a fresh context each time, since the
-    # eigen verdicts are cached per context.  At a valid gamma the spectrum
-    # is always simple, so its failure is substituted.
+    # then the simple joint spectrum.  At a valid gamma the spectrum is
+    # always simple, so its failure is substituted.
     def shared(indices, gamma):
         return f"indices {indices[0]} and {indices[1]} share eigenvalues"
 
@@ -327,6 +326,7 @@ def test_irreducibility_check_fails_without_its_premise(monkeypatch):
     # a mutant put into the generator table reaches the premise through M_1
     monkeypatch.setattr(diffops, "l_operator", _doubled_generator((2, 3)))
     diffops.generator_table.cache_clear()  # built before the patch above
+    verify.gamma_store.cache_clear()  # holds the eigen verdict read above
     ctx = ModuleContext(2, 2, G_2)
     result = irreducibility_check(ctx)
     defect = "M_1 P_(1, 1) != lambda_1((1, 1)) P_(1, 1)"
@@ -553,6 +553,44 @@ def test_a_second_run_on_one_gamma_builds_no_generator(monkeypatch, fresh_caches
         assert calls == first
 
 
+def test_a_second_run_on_one_gamma_applies_m_j_only_to_the_new_level(monkeypatch, fresh_caches):
+    # the eigen verdict of each level lives in the (d, gamma) store, so the
+    # orthogonality of level n + 1 re-applies nothing to the levels below
+    applied = Counter()
+    right = verify.m_operator
+
+    def counted(j, d, gamma, variant="plain"):
+        op = right(j, d, gamma, variant)
+
+        class Counted:
+            def apply(self, poly, derivatives=None):
+                applied[poly.total_degree()] += 1
+                return op.apply(poly, derivatives)
+
+        return Counted()
+
+    monkeypatch.setattr(verify, "m_operator", counted)
+    for d, n in ((2, 2), (3, 1)):
+        gamma = sample_valid_gammas(93 + d, d, 1, positive=True)[0]
+        assert run_suites(d, n, gamma, ("spectral", "orthogonality")).ok
+        assert set(applied) == set(range(n + 1))
+        applied.clear()
+        assert run_suites(d, n + 1, gamma, ("spectral", "orthogonality")).ok
+        assert applied == {n + 1: d * len(level_indices(n + 1, d))}
+        applied.clear()
+
+
+def test_each_family_member_is_built_once_per_gamma(monkeypatch, fresh_caches):
+    # every level and every block context of a gamma reads P_mu from the
+    # (d, gamma) store
+    built = _counting(monkeypatch, verify, "jacobi_simplex", lambda nu, gamma: (nu, gamma.gamma))
+    gamma = sample_valid_gammas(96, 3, 1, positive=True)[0]
+    for n in (1, 2, 3):
+        assert run_suites(3, n, gamma, SUITES, "strict").ok
+    assert set(built.values()) == {1}
+    assert {nu for nu, g in built if g == gamma.gamma} == set(graded_indices(3, 3))
+
+
 def test_wrong_f_operator_fails_alike_on_every_level(monkeypatch, fresh_caches):
     # wrong only for the second index choice: the first choice still passes,
     # and every level names the second
@@ -628,7 +666,12 @@ def test_caches_stay_within_their_sizes(monkeypatch, fresh_caches):
         assert verify_kd(2, gamma).status == "pass"
         assert verify_selfadjoint_orthogonal(ModuleContext(2, 0, gamma)).status == "pass"
     for cache in (
-        diffops.generator_table, verify._f_verdict, verify._kd_verdict, verify._asymmetric_generator
+        diffops.generator_table,
+        verify._f_verdict,
+        verify._kd_verdict,
+        verify._asymmetric_generator,
+        verify.gamma_store,
+        jacobi._factor_table,
     ):
         info = cache.cache_info()
         assert info.maxsize == size
@@ -716,9 +759,9 @@ def test_spectral_and_orthogonality_apply_each_m_j_once_per_graded_index(monkeyp
         op = right(j, d, gamma, variant)
 
         class Counted:
-            def apply(self, poly):
+            def apply(self, poly, derivatives=None):
                 applied[(j, poly)] += 1
-                return op.apply(poly)
+                return op.apply(poly, derivatives)
 
         return Counted()
 
