@@ -31,15 +31,28 @@ family; M_j^+/M_j^- apply the cyclic index shift tau = (1,2,...,d+1) or its
 inverse to every pair.  Compositions use the Leibniz rule, so commutator and
 anticommutator identities become literal equality of expanded data.
 
+One Leibniz kernel, ``_leibniz``, serves ``@``, ``apply``, the commutator,
+the anticommutator and the product in both orders: it sums the terms of
+the delta it is told to take, times a weight, into an accumulator it is
+given.  The delta = 0 terms p q d^(alpha+beta) of p d^alpha o q d^beta are
+the same in both orders, so a commutator never forms them, an
+anticommutator forms them once and doubles them, and ``both_orders``
+shares one pass over them.  Each right factor memoizes its coefficient
+derivatives {delta: d^delta} on itself, so a verdict differentiates each
+generator once per delta.  ``DiffOp.combination`` sums (scalar, operator)
+pairs in one pass over one common denominator, as ``MultiPoly.combination``
+does for polynomials; the generator sums and the terms of F go through it.
+
 ``generator_table`` builds the generators once per (d, gamma), bounded by
 ``OPERATOR_CACHE_SIZE``; every other operator of the package (M_j^variant,
-the hats, F) is read, summed or composed from it.
+the hats, F) is read, summed or composed from it, and the memos of the
+table's generators are dropped with their table.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 from math import comb, gcd, lcm, perm, prod
 from types import MappingProxyType
 from typing import Mapping
@@ -51,58 +64,88 @@ from .scalar import as_rat
 
 
 def _derive(nums: dict, delta: tuple) -> list:
-    """d^delta of every coefficient of ``nums``, as [(beta, [(exponent, numerator)])],
-    one variable at a time: d_k^r x^e = (e_k)_r x^(e - r e_k), with the falling
-    factorial (e_k)_r."""
+    """d^delta of every coefficient of ``nums``, as [(beta, [(exponent, numerator)])]:
+    d^delta x^e = prod_k (e_k)_(delta_k) x^(e - delta), with the falling
+    factorials (e_k)_r, which vanish where r > e_k."""
     fields = [(8 * k, order) for k, order in enumerate(delta) if order]
+    step = _pack(delta)
     out = []
     for beta, q in nums.items():
-        terms = list(q.items())
-        for bit, order in fields:
-            terms = [
-                (e - (order << bit), n * w)
-                for e, n in terms
-                if (w := perm((e >> bit) & FIELD_MAX, order))
-            ]
+        terms = []
+        for e, n in q.items():
+            for bit, order in fields:
+                n *= perm((e >> bit) & FIELD_MAX, order)
+            if n:
+                terms.append((e - step, n))
         if terms:
             out.append((beta, terms))
     return out
 
 
-def _leibniz(p_nums: dict, q_nums: dict, dim: int, full: bool = True, derived=None) -> dict:
-    """Numerators of p o q by the Leibniz rule, in one pass,
+# Which delta <= alpha the Leibniz kernel sums, as a function of alpha's orders.
+
+
+def _every(orders: tuple):
+    return product(*(range(a + 1) for a in orders))
+
+
+def _nonzero(orders: tuple):
+    return islice(_every(orders), 1, None)  # _every yields delta = 0 first
+
+
+def _zero(orders: tuple):
+    return ((0,) * len(orders),)
+
+
+def _whole(orders: tuple):
+    return (orders,)
+
+
+def _leibniz(p_nums: dict, q_nums: dict, dim: int, *, deltas, derived: dict, into: dict,
+             weight: int = 1) -> dict:
+    """Add weight times the Leibniz terms of p o q that ``deltas`` picks into ``into``,
 
         p d^alpha o q d^beta
             = sum_{delta <= alpha} C(alpha, delta) p (d^delta q) d^(alpha-delta+beta),
 
     where every term is an integer weight times one numerator of p and one
-    of q.  With ``full`` false only delta = alpha is taken: when q is a
-    polynomial (beta = 0 only), that is the order-0 part, p applied to q.
-    ``derived`` {delta: d^delta q} is read and filled, so a caller that
-    passes one dict for one q differentiates it once per delta."""
-    derived = {} if derived is None else derived
-    accumulators: dict = {}
+    of q.  ``deltas`` is ``_every`` for a composition, ``_zero`` or
+    ``_nonzero`` for its delta = 0 terms p q d^(alpha+beta) or the rest, and
+    ``_whole`` (delta = alpha) for p applied to a polynomial q (beta = 0
+    only).  ``derived`` {delta: d^delta q} is read and filled, so a caller
+    that passes one dict for one q differentiates it once per delta."""
     for alpha, p in p_nums.items():
-        p_items = list(p.items())
         orders = _unpack(alpha, dim)
-        deltas = product(*(range(a + 1) for a in orders)) if full else (orders,)
-        for delta in deltas:
+        for delta in deltas(orders):
             dq = derived.get(delta)
             if dq is None:
                 dq = derived[delta] = _derive(q_nums, delta)
-            binomial = prod(map(comb, orders, delta))
+            if not dq:
+                continue
+            w = weight * prod(map(comb, orders, delta))
+            p_items = [(e, n * w) for e, n in p.items()]
             base = alpha - _pack(delta)
             for beta, q in dq:
-                acc = accumulators.get(base + beta)
+                acc = into.get(base + beta)
                 if acc is None:
-                    acc = accumulators[base + beta] = {}
+                    acc = into[base + beta] = {}
                 get = acc.get
                 for e1, n1 in p_items:
-                    n1 *= binomial
                     for e2, n2 in q:
                         key = e1 + e2
                         acc[key] = get(key, 0) + n1 * n2
-    return accumulators
+    return into
+
+
+def _stripped(accumulators: dict) -> dict:
+    """Numerators {alpha: {e: n}} with the zeros and the empty coefficients
+    of the ``accumulators`` left out."""
+    out = {}
+    for alpha, acc in accumulators.items():
+        acc = {e: n for e, n in acc.items() if n}
+        if acc:
+            out[alpha] = acc
+    return out
 
 
 class DiffOp:
@@ -113,9 +156,11 @@ class DiffOp:
     packs; ``terms`` is the same data as {derivative tuple: MultiPoly},
     built on each read.  ``top`` bounds every entry of every derivative and
     exponent vector, so a result whose entries could leave the packed field
-    raises ``PackingOverflow`` before it is computed."""
+    raises ``PackingOverflow`` before it is computed.  ``_derived`` memoizes
+    {delta: d^delta of every coefficient} for the operator as a right factor,
+    filled by the Leibniz kernel on first use."""
 
-    __slots__ = ("dim", "den", "nums", "top")
+    __slots__ = ("dim", "den", "nums", "top", "_derived")
 
     def __init__(self, dim: int, terms: Mapping = ()):
         coefficients = {}
@@ -141,7 +186,8 @@ class DiffOp:
         self._set(dim, den, nums, top)
 
     def _set(self, dim: int, den: int, nums: dict, top: int):
-        for name, value in (("dim", dim), ("den", den), ("nums", nums), ("top", top)):
+        values = (("dim", dim), ("den", den), ("nums", nums), ("top", top), ("_derived", None))
+        for name, value in values:
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -192,32 +238,11 @@ class DiffOp:
 
     # -- linear algebra ----------------------------------------------------
 
-    def _combine(self, other: "DiffOp", sign: int) -> "DiffOp":
-        """self + sign * other over lcm(self.den, other.den)."""
-        self._check_dim(other)
-        den = lcm(self.den, other.den)
-        mine, theirs = den // self.den, sign * (den // other.den)
-        out = {a: {e: n * mine for e, n in m.items()} for a, m in self.nums.items()}
-        for beta, m in other.nums.items():
-            acc = out.get(beta)
-            if acc is None:
-                out[beta] = {e: n * theirs for e, n in m.items()}
-                continue
-            for e, n in m.items():
-                total = acc.get(e, 0) + n * theirs
-                if total:
-                    acc[e] = total
-                else:
-                    del acc[e]
-            if not acc:
-                del out[beta]
-        return DiffOp._canonical(self.dim, den, out, max(self.top, other.top))
-
     def __add__(self, other: "DiffOp") -> "DiffOp":
-        return self._combine(other, 1)
+        return DiffOp.combination(self.dim, ((1, self), (1, other)))
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self._combine(other, -1)
+        return DiffOp.combination(self.dim, ((1, self), (-1, other)))
 
     def scale(self, value) -> "DiffOp":
         value = as_rat(value)
@@ -227,20 +252,84 @@ class DiffOp:
         nums = {a: {e: n * factor for e, n in m.items()} for a, m in self.nums.items()}
         return DiffOp._canonical(self.dim, self.den * value.denominator, nums, self.top)
 
+    @classmethod
+    def combination(cls, dim: int, pairs) -> "DiffOp":
+        """The sum of c * op over the (scalar c, operator op) ``pairs``, in one
+        pass on integers over the lcm of the denominators den(c) * den(op)."""
+        pairs = [(as_rat(c), op) for c, op in pairs]
+        den = lcm(*(c.denominator * op.den for c, op in pairs))
+        out: dict = {}
+        for c, op in pairs:
+            if op.dim != dim:
+                raise DimensionMismatch(f"an operator in {op.dim} variables, expected {dim}")
+            weight = c.numerator * (den // (c.denominator * op.den))
+            for alpha, m in op.nums.items():
+                acc = out.get(alpha)
+                if acc is None:
+                    acc = out[alpha] = {}
+                get = acc.get
+                for e, n in m.items():
+                    acc[e] = get(e, 0) + weight * n
+        top = max((op.top for _, op in pairs), default=0)
+        return cls._canonical(dim, den, _stripped(out), top)
+
     # -- composition and action --------------------------------------------
+
+    def _derivatives(self) -> dict:
+        """The memo {delta: d^delta of every coefficient}, made on first use."""
+        if self._derived is None:
+            object.__setattr__(self, "_derived", {})
+        return self._derived
+
+    def _product_top(self, other: "DiffOp") -> int:
+        """A bound on every entry of a product of self and other, in either
+        order; PackingOverflow where an entry could leave the packed field."""
+        self._check_dim(other)
+        top = self.top + other.top
+        _check_fields(top, "a composed exponent or derivative order")
+        return top
+
+    def _products(self, other: "DiffOp", passes, into: dict) -> "DiffOp":
+        """The operator over den(self) * den(other) whose numerators are
+        ``into`` plus, for each (left, right, deltas, weight) of ``passes``,
+        weight times the Leibniz terms of left o right that ``deltas`` picks."""
+        top = self._product_top(other)
+        for left, right, deltas, weight in passes:
+            _leibniz(
+                left.nums, right.nums, self.dim,
+                deltas=deltas, derived=right._derivatives(), into=into, weight=weight,
+            )
+        return DiffOp._canonical(self.dim, self.den * other.den, _stripped(into), top)
 
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
         """Operator composition (self after other) by the Leibniz rule, on the
         integer numerators over den(self) * den(other)."""
-        self._check_dim(other)
-        top = self.top + other.top
-        _check_fields(top, "a composed exponent or derivative order")
-        out = {}
-        for deriv, acc in _leibniz(self.nums, other.nums, self.dim).items():
-            acc = {e: n for e, n in acc.items() if n}
-            if acc:
-                out[deriv] = acc
-        return DiffOp._canonical(self.dim, self.den * other.den, out, top)
+        return self._products(other, [(self, other, _every, 1)], {})
+
+    def commutator(self, other: "DiffOp") -> "DiffOp":
+        """[self, other]: the delta = 0 terms p q d^(alpha+beta) of the two
+        products are equal and cancel, so neither is formed."""
+        passes = [(self, other, _nonzero, 1), (other, self, _nonzero, -1)]
+        return self._products(other, passes, {})
+
+    def anticommutator(self, other: "DiffOp") -> "DiffOp":
+        """{self, other}: the equal delta = 0 terms of the two products are
+        formed once and doubled."""
+        passes = [(self, other, _zero, 2), (self, other, _nonzero, 1), (other, self, _nonzero, 1)]
+        return self._products(other, passes, {})
+
+    def both_orders(self, other: "DiffOp") -> tuple:
+        """(self @ other, other @ self), whose equal delta = 0 terms are formed
+        in one pass that both share."""
+        self._product_top(other)  # no key is formed before the check
+        shared = _leibniz(
+            self.nums, other.nums, self.dim, deltas=_zero, derived=other._derivatives(), into={}
+        )
+        copy = {alpha: dict(m) for alpha, m in shared.items()}
+        return (
+            self._products(other, [(self, other, _nonzero, 1)], shared),
+            self._products(other, [(other, self, _nonzero, 1)], copy),
+        )
 
     def apply(self, poly: MultiPoly, derivatives: dict | None = None) -> MultiPoly:
         """The polynomial self(poly): poly's integer numerators differentiated
@@ -255,8 +344,9 @@ class DiffOp:
         if top > FIELD_MAX:
             top = self.top + max(_degrees(poly.nums, dim), default=0)
             _check_fields(top, "an exponent of the image")
-        image = _leibniz(self.nums, {0: poly.nums}, dim, False, derivatives).get(0, {})
-        nums = {e: n for e, n in image.items() if n}
+        derived = {} if derivatives is None else derivatives
+        image = _leibniz(self.nums, {0: poly.nums}, dim, deltas=_whole, derived=derived, into={})
+        nums = {e: n for e, n in image.get(0, {}).items() if n}
         return MultiPoly._canonical(dim, self.den * poly.den, nums, top)
 
     def __repr__(self) -> str:
@@ -269,12 +359,8 @@ class DiffOp:
         return " + ".join(parts)
 
 
-def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    return (a @ b) - (b @ a)
-
-
-def anticommutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    return (a @ b) + (b @ a)
+commutator = DiffOp.commutator
+anticommutator = DiffOp.anticommutator
 
 
 # -- the generators ----------------------------------------------------------
@@ -332,7 +418,7 @@ def generator_table(d: int, params: ParamVector) -> Mapping:
 def pair_sum(pairs, d: int, gamma) -> DiffOp:
     """Sum of the table's generators L_{k,l} over the index pairs (either order)."""
     table = generator_table(d, require_valid(gamma, d))
-    return sum((table[min(k, l), max(k, l)] for k, l in pairs), DiffOp.zero(d))
+    return DiffOp.combination(d, [(1, table[min(k, l), max(k, l)]) for k, l in pairs])
 
 
 def l_total(d: int, gamma) -> DiffOp:
@@ -417,34 +503,41 @@ def f_combination(i: int, j: int, k: int, l: int, d: int, gamma) -> DiffOp:
         if not 1 <= index <= d + 1:
             raise ValueError(f"index {index} out of range for d = {d}")
     table = generator_table(d, params)
-    return f_formula(lambda a, b: table[min(a, b), max(a, b)], i, j, k, l, params)
+    terms = f_formula(lambda a, b: table[min(a, b), max(a, b)], i, j, k, l, params)
+    return DiffOp.combination(d, terms)
 
 
-def f_formula(generator, i: int, j: int, k: int, l: int, gamma):
-    """F(L_{i,k}, L_{i,l}, L_{j,k}, L_{j,l}, L_{k,l}) over any ring with ``@``,
-    ``+``, ``-`` and ``scale``; ``generator(a, b)`` is the image of L_{a,b}.
-    The package evaluates it on differential operators only.  The matrix
-    ring, in which ``f_relation_matrix_oracle`` evaluates it on the generator
-    matrices of a level, is ``RingMatrix`` in ``tests/oracles.py``."""
+def f_formula(generator, i: int, j: int, k: int, l: int, gamma) -> list:
+    """F(L_{i,k}, L_{i,l}, L_{j,k}, L_{j,l}, L_{k,l}) as its terms, the pairs
+    (coefficient, element) whose sum is F, over any ring whose elements have
+    ``@``, ``-``, ``commutator``, ``anticommutator`` and ``both_orders``
+    (the pair a @ b, b @ a); ``generator(a, b)`` is the image of L_{a,b}.
+    The package sums the terms over differential operators with
+    ``DiffOp.combination``.  The matrix ring, in which
+    ``f_relation_matrix_oracle`` evaluates it on the generator matrices of a
+    level, is ``RingMatrix`` in ``tests/oracles.py``."""
     gi, gj, gk, gl = gamma[i], gamma[j], gamma[k], gamma[l]
     ik, il, jk, jl, kl = (generator(a, b) for a, b in ((i, k), (i, l), (j, k), (j, l), (k, l)))
-    jk_kl = commutator(jk, kl)
+    jk_kl = jk.commutator(kl)
     # each of these products enters both a commutator and an anticommutator
-    ik_kl, kl_ik, jl_kl, kl_jl = ik @ kl, kl @ ik, jl @ kl, kl @ jl
-    return (
-        anticommutator(jk_kl, ik_kl - kl_ik)
-        - anticommutator(kl, commutator(ik, jk_kl))
-        - anticommutator(kl, ik @ jl).scale(2)
-        + commutator(ik, kl_jl - jl_kl).scale((1 + gk) * (1 + gl))
-        + (ik_kl + kl_ik).scale((1 + gj) * (1 + gl))
-        + anticommutator(ik, jk).scale(1 - gl * gl)
-        + anticommutator(il, jl).scale(1 - gk * gk)
-        + (jl_kl + kl_jl).scale((1 + gi) * (1 + gk))
-        - (jk @ il).scale(4)
-        + (jl @ ik).scale(2 * (-1 + gk + gl + gk * gl))
-        - ik.scale(2 * gk * (1 + gj) * (1 + gl))
-        + il.scale((1 + gj) * (1 + gk) * (1 + gk - gl + gk * gl))
-        + jk.scale((1 + gi) * (1 + gl) * (1 - gk + gl + gk * gl))
-        - jl.scale(2 * (1 + gi) * (1 + gk) * gl)
-        - kl.scale((1 + gi) * (1 + gj) * (1 + gk) * (1 + gl))
-    )
+    ik_kl, kl_ik = ik.both_orders(kl)
+    jl_kl, kl_jl = jl.both_orders(kl)
+    return [
+        (1, jk_kl.anticommutator(ik_kl - kl_ik)),
+        (-1, kl.anticommutator(ik.commutator(jk_kl))),
+        (-2, kl.anticommutator(ik @ jl)),
+        ((1 + gk) * (1 + gl), ik.commutator(kl_jl - jl_kl)),
+        ((1 + gj) * (1 + gl), ik_kl),
+        ((1 + gj) * (1 + gl), kl_ik),
+        (1 - gl * gl, ik.anticommutator(jk)),
+        (1 - gk * gk, il.anticommutator(jl)),
+        ((1 + gi) * (1 + gk), jl_kl),
+        ((1 + gi) * (1 + gk), kl_jl),
+        (-4, jk @ il),
+        (2 * (-1 + gk + gl + gk * gl), jl @ ik),
+        (-2 * gk * (1 + gj) * (1 + gl), ik),
+        ((1 + gj) * (1 + gk) * (1 + gk - gl + gk * gl), il),
+        ((1 + gi) * (1 + gl) * (1 - gk + gl + gk * gl), jk),
+        (-2 * (1 + gi) * (1 + gk) * gl, jl),
+        (-(1 + gi) * (1 + gj) * (1 + gk) * (1 + gl), kl),
+    ]

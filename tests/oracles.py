@@ -22,7 +22,12 @@ pairs, the rank oracle ranks the generators' actions on monomials instead of
 their coefficients, the total operator is built from its closed form
 instead of as a pair sum, the composition oracle differentiates and
 multiplies whole coefficient polynomials for each Leibniz term instead of
-accumulating weighted monomial products in one pass, the apply oracle sums
+accumulating weighted monomial products in one pass, the two-products
+ring forms each commutator, anticommutator and product in both orders from
+two whole compositions instead of the kernel passes that skip, double or
+share the delta = 0 terms, the combination oracle folds MultiPoly ``+`` and
+``scale`` over the coefficients instead of summing integer numerators over
+one denominator in one pass, the apply oracle sums
 coefficient times derivative as MultiPoly products instead of applying
 falling factorials to integer numerators over one denominator, the F relation and
 commutation oracles evaluate F and the commutators on the generator matrices
@@ -423,7 +428,30 @@ def jacobi1d(n: int, alpha, beta) -> MultiPoly:
     return result
 
 
-class RingMatrix(ExactMatrix):
+class TwoProducts:
+    """The products ``f_formula`` takes beyond ``@``, each from two whole
+    ``@`` products: the reference for the fused commutator, anticommutator
+    and both-orders product of ``DiffOp``."""
+
+    __slots__ = ()
+
+    def commutator(self, other):
+        return self @ other - other @ self
+
+    def anticommutator(self, other):
+        return self @ other + other @ self
+
+    def both_orders(self, other) -> tuple:
+        return self @ other, other @ self
+
+
+def fold_terms(pairs):
+    """The sum of c * x over the (scalar c, ring element x) ``pairs``, as a
+    left fold of ``+`` and ``scale``."""
+    return functools.reduce(operator.add, (x.scale(c) for c, x in pairs))
+
+
+class RingMatrix(TwoProducts, ExactMatrix):
     """An ``ExactMatrix`` with the ring operations ``f_formula`` and the
     commutators need, and the elimination the tests use: no suite multiplies,
     subtracts or scales a matrix."""
@@ -525,6 +553,40 @@ def compose_oracle(a: DiffOp, b: DiffOp) -> DiffOp:
     return DiffOp(a.dim, out)
 
 
+def combination_oracle(dim: int, pairs) -> DiffOp:
+    """The sum of c * op over the (scalar c, operator op) ``pairs``, as a left
+    fold of MultiPoly ``+`` and ``scale`` on the coefficients of each ``terms``
+    view."""
+    out: dict = {}
+    for c, op in pairs:
+        for deriv, coefficient in op.terms.items():
+            out[deriv] = out.get(deriv, MultiPoly.zero(dim)) + coefficient.scale(c)
+    return DiffOp(dim, out)
+
+
+class OracleOp(TwoProducts):
+    """A ``DiffOp`` in the ring whose every product is ``compose_oracle`` and
+    whose sums are ``combination_oracle``: ``f_formula`` evaluated on it
+    takes the route of two whole products per commutator."""
+
+    __slots__ = ("op",)
+
+    def __init__(self, op: DiffOp):
+        self.op = op
+
+    def __matmul__(self, other: "OracleOp") -> "OracleOp":
+        return OracleOp(compose_oracle(self.op, other.op))
+
+    def __add__(self, other: "OracleOp") -> "OracleOp":
+        return OracleOp(combination_oracle(self.op.dim, [(1, self.op), (1, other.op)]))
+
+    def __sub__(self, other: "OracleOp") -> "OracleOp":
+        return OracleOp(combination_oracle(self.op.dim, [(1, self.op), (-1, other.op)]))
+
+    def scale(self, value) -> "OracleOp":
+        return OracleOp(combination_oracle(self.op.dim, [(value, self.op)]))
+
+
 def t_poly_coeffs(p: MultiPoly) -> list:
     degree = p.total_degree()
     return [coefficient(p, (k,)) for k in range(degree + 1)]
@@ -608,6 +670,16 @@ def oracle_moment(m, gamma_ints) -> Rat:
     for i in range(d):
         integrand = integrand * MultiPoly.variable(d, i) ** m[i]
     return integrate_simplex(integrand) / integrate_simplex(weight)
+
+
+# gamma_2 + gamma_3 in {0, -1}: the reduced fractions give a nonzero
+# coefficient that escapes the range
+ESCAPE_GAMMAS = ("-1/2,-5/2,5/2", "1/2,-2/3,2/3", "0,3/2,-3/2", "1,1/2,-1/2")
+# a tail sum gamma_j + ... + gamma_{d+1} is an integer <= 0: a printed
+# operator has a coefficient that its rule cannot resolve
+WRONG_FAIL_GAMMAS = ("5/3,1/2,-5/4,-5/4", "1/2,1/2,-1/2,-1/2")
+#: The gammas of the benchmark sweep's fixed fault cells.
+FAULT_GAMMAS = tuple(ParamVector.parse(text) for text in ESCAPE_GAMMAS + WRONG_FAIL_GAMMAS)
 
 
 def sample_valid_gammas(seed: int, d: int, count: int, positive: bool = False) -> list:
@@ -831,7 +903,8 @@ def f_relation_matrix_oracle(ctx) -> CheckResult:
     choices = _f_index_choices(d)
     for i, j, k, l in choices:
         factor = (1 - gamma[k] ** 2) * (1 - gamma[l] ** 2)
-        f_matrix = f_formula(lambda a, b: RingMatrix.of(ctx.generator_matrix(a, b)), i, j, k, l, gamma)
+        terms = f_formula(lambda a, b: RingMatrix.of(ctx.generator_matrix(a, b)), i, j, k, l, gamma)
+        f_matrix = fold_terms(terms)
         if factor == 0:
             if not f_matrix.is_zero():
                 return CheckResult(

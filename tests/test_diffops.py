@@ -1,16 +1,21 @@
+import gc
 import os
 import random
 import subprocess
 import sys
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 from math import comb, gcd, lcm
 from pathlib import Path
 
 import pytest
 
 from oracles import (
+    FAULT_GAMMAS,
+    OracleOp,
     apply_oracle,
+    combination_oracle,
     compose_oracle,
+    fold_terms,
     generator_rank_oracle,
     l_total_closed_form,
     relations_oracle,
@@ -18,9 +23,12 @@ from oracles import (
 )
 from simplexalg.diffops import (
     FIELD_MAX,
+    OPERATOR_CACHE_SIZE,
     DiffOp,
     commutator,
     f_combination,
+    f_formula,
+    generator_table,
     jm_relations,
     l_operator,
     l_total,
@@ -32,7 +40,7 @@ from simplexalg.jacobi import graded_indices, jacobi_simplex
 from simplexalg.params import ParamVector
 from simplexalg.poly import MultiPoly
 from simplexalg.scalar import Rat
-from simplexalg.verify import ModuleContext, generator_rank
+from simplexalg.verify import ModuleContext, _f_index_choices, generator_rank, verify_kd
 
 G0 = ParamVector([0, 0, 0])
 G3 = ParamVector([Rat(1, 2), Rat(1, 3), Rat(1, 4), Rat(1, 5)])
@@ -202,6 +210,58 @@ def test_compose_agrees_with_leibniz_oracle(d):
         assert c @ ab == compose_oracle(c, ab)
 
 
+TWO_PRODUCT_GAMMAS = [
+    pytest.param(gamma, id=f"seeded-d{d}-{k}")
+    for d in (3, 4)
+    for k, gamma in enumerate(sample_valid_gammas(80 + d, d, 2))
+] + [pytest.param(gamma, id="fault-" + ",".join(gamma.to_json())) for gamma in FAULT_GAMMAS]
+
+
+@pytest.mark.parametrize("gamma", TWO_PRODUCT_GAMMAS)
+def test_fused_products_and_f_agree_with_two_products(gamma):
+    # every ordered pair of generators, and F at every index choice evaluated
+    # in the ring whose every product is compose_oracle (F needs d >= 3)
+    d = gamma.d
+    table = generator_table(d, gamma)
+    for a in table.values():
+        for b in table.values():
+            assert_fused_products_agree(a, b)
+    oracle_generator = lambda a, b: OracleOp(table[min(a, b), max(a, b)])
+    for i, j, k, l in _f_index_choices(d) if d >= 3 else ():
+        expected = fold_terms(f_formula(oracle_generator, i, j, k, l, gamma)).op
+        assert f_combination(i, j, k, l, d, gamma) == expected, (i, j, k, l)
+
+
+def test_one_right_factor_serves_several_left_factors():
+    # the right factor memoizes its derivatives d^delta across products with
+    # left factors of other orders, and in both orders
+    rng = random.Random(31)
+    right = DiffOp(3, {(0, 1, 1): random_poly(rng, 3, degree=4), (2, 0, 0): random_poly(rng, 3)})
+    lefts = [random_op(rng, 3, order) for order in (1, 4, 2, 3)] + [right]
+    for left in lefts:
+        assert left @ right == compose_oracle(left, right)
+        assert right @ left == compose_oracle(right, left)
+        assert_fused_products_agree(left, right)
+        assert_fused_products_agree(right, left)
+
+
+def test_generator_table_memos_stay_within_the_cache_size(fresh_caches):
+    # the kd verdict composes the table's generators as right factors, so
+    # their memos live as long as the table of their gamma is cached
+    gammas = sample_valid_gammas(66, 3, OPERATOR_CACHE_SIZE + 3)
+    for gamma in gammas:
+        assert verify_kd(3, gamma).status == "pass"
+    gc.collect()
+    memoized = [obj for obj in gc.get_objects() if isinstance(obj, DiffOp) and obj._derived]
+    generators = {
+        gamma: [l_operator(i, j, 3, gamma) for i, j in combinations(range(1, 5), 2)]
+        for gamma in gammas
+    }
+    owners = {gamma for op in memoized for gamma, ops in generators.items() if op in ops}
+    assert owners == set(gammas[-OPERATOR_CACHE_SIZE:])
+    assert generator_table.cache_info().currsize == OPERATOR_CACHE_SIZE
+
+
 @pytest.mark.parametrize(
     "d,gamma,indices",
     [
@@ -215,6 +275,14 @@ def test_f_relation_operator_identity(d, gamma, indices):
     i, j, k, l = indices
     factor = (1 - gamma[k] ** 2) * (1 - gamma[l] ** 2)
     assert f_combination(i, j, k, l, d, gamma) == l_operator(i, j, d, gamma).scale(factor)
+
+
+@pytest.mark.parametrize("d,gamma", [(3, G3), (4, G4)])
+def test_f_relation_on_every_ordered_quadruple(d, gamma):
+    # 24 quadruples at d = 3 and 120 at d = 4
+    for i, j, k, l in permutations(range(1, d + 2), 4):
+        factor = (1 - gamma[k] ** 2) * (1 - gamma[l] ** 2)
+        assert f_combination(i, j, k, l, d, gamma) == l_operator(i, j, d, gamma).scale(factor)
 
 
 def test_f_relation_action_on_low_degree(subtests=None):
@@ -292,6 +360,17 @@ def terms_combination(a, b, sign):
     return {deriv: coefficient for deriv, coefficient in out.items() if coefficient}
 
 
+def assert_fused_products_agree(a, b):
+    """The commutator, the anticommutator and the product in both orders
+    against two whole products of ``compose_oracle``."""
+    two = OracleOp(a), OracleOp(b)
+    assert a.commutator(b) == two[0].commutator(two[1]).op
+    assert a.anticommutator(b) == two[0].anticommutator(two[1]).op
+    assert a.both_orders(b) == tuple(x.op for x in two[0].both_orders(two[1]))
+    for op in (a.commutator(b), a.anticommutator(b), *a.both_orders(b)):
+        assert_canonical(op)
+
+
 def assert_canonical(op):
     # the one denominator is the lcm of the view's and shares no factor with
     # every numerator, so equal operators have equal data
@@ -309,6 +388,10 @@ def test_integer_form_agrees_with_multipoly_arithmetic(d):
         r = Rat(rng.choice((-1, 1)) * rng.randint(1, 30), rng.choice(DENOMINATORS))
         composed = a @ b
         assert composed == compose_oracle(a, b)
+        assert_fused_products_agree(a, b)
+        pairs = [(r, a), (-1, b), (Rat(2, 3), composed), (1, a.scale(-r))]
+        assert DiffOp.combination(d, pairs) == combination_oracle(d, pairs)
+        assert DiffOp.combination(d, []) == DiffOp.zero(d)
         assert dict((a + b).terms) == terms_combination(a, b, 1)
         assert dict((a - b).terms) == terms_combination(a, b, -1)
         assert dict(a.scale(r).terms) == {deriv: c.scale(r) for deriv, c in a.terms.items()}
@@ -358,12 +441,21 @@ from simplexalg.diffops import DiffOp
 from simplexalg.errors import PackingOverflow
 from simplexalg.poly import MultiPoly
 
+from simplexalg import diffops
+
+# every key of a product or an image is formed in the Leibniz kernel
+kernel, entered = diffops._leibniz, []
+diffops._leibniz = lambda *args, **kwargs: entered.append(1) or kernel(*args, **kwargs)
 high = DiffOp(2, {(128, 0): MultiPoly.monomial(2, (0, 128))})
 cases = {
     "derivative order 256": lambda: DiffOp(2, {(256, 0): 1}),
     "exponent 300": lambda: DiffOp(1, {(0,): MultiPoly.monomial(1, (300,))}),
     "composed orders 128 + 128": lambda: high @ high,
     "image exponents 128 + 128": lambda: high.apply(MultiPoly.monomial(2, (128, 128))),
+    "commutator of orders 128 + 128": lambda: high.commutator(high),
+    "anticommutator of orders 128 + 128": lambda: high.anticommutator(high),
+    "both orders of orders 128 + 128": lambda: high.both_orders(high),
+    "combination of orders 128 + 128": lambda: DiffOp.combination(2, [(1, high), (1, high @ high)]),
 }
 for name, build in cases.items():
     try:
@@ -372,12 +464,18 @@ for name, build in cases.items():
         print(name, "raises")
     else:
         print(name, "returns")
+print("kernel entered", len(entered), "times")
 """
 OVERFLOW_RAISES = [
     "derivative order 256 raises",
     "exponent 300 raises",
     "composed orders 128 + 128 raises",
     "image exponents 128 + 128 raises",
+    "commutator of orders 128 + 128 raises",
+    "anticommutator of orders 128 + 128 raises",
+    "both orders of orders 128 + 128 raises",
+    "combination of orders 128 + 128 raises",
+    "kernel entered 0 times",
 ]
 
 

@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     RingMatrix,
     f_relation_matrix_oracle,
+    fold_terms,
     matrix_commutation_oracle,
     operator_matrix_oracle,
     sample_valid_gammas,
@@ -67,7 +68,7 @@ def _library_matrices(ctx) -> dict:
             out[("hat", a + 1)] = ctx.hat_matrix(a)
     generator = lambda a, b: RingMatrix.of(ctx.generator_matrix(a, b))
     for choice in _f_choices(d):
-        out[("F",) + choice] = f_formula(generator, *choice, ctx.gamma)
+        out[("F",) + choice] = fold_terms(f_formula(generator, *choice, ctx.gamma))
     return out
 
 

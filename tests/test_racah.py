@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    FAULT_GAMMAS,
     folded_fractions,
     folded_value,
     fraction_value,
@@ -447,13 +448,6 @@ def test_printed_rule_agrees_with_numerator_first_oracle(gamma):
 
 # -- pointwise product form, its limits and the reduced fractions ------------
 
-# gamma_2 + gamma_3 in {0, -1}: the reduced fractions give a nonzero
-# coefficient that escapes the range
-ESCAPE_GAMMAS = ("-1/2,-5/2,5/2", "1/2,-2/3,2/3", "0,3/2,-3/2", "1,1/2,-1/2")
-# a tail sum gamma_j + ... + gamma_{d+1} is an integer <= 0: a printed
-# operator has a coefficient that its rule cannot resolve
-WRONG_FAIL_GAMMAS = ("5/3,1/2,-5/4,-5/4", "1/2,1/2,-1/2,-1/2")
-FAULT_GAMMAS = tuple(ParamVector.parse(text) for text in ESCAPE_GAMMAS + WRONG_FAIL_GAMMAS)
 # d = 4 gammas on which factors of the unreduced denominator vanish, so that
 # limits are taken with m = 3
 LIMIT_GAMMAS_4 = tuple(
